@@ -17,20 +17,17 @@ node, so the grid carries no recoverable sign information for it.
 T_1 f = T f - (T f)(theta=0) is the normalization vanishing at tau = 1.
 
 Grids of any power-of-two size from 8 up are supported (2^22 works if
-you have the memory); everything here is O(n log n) except the adaptive
-quadrature inside radial_derivative, whose cost scales with the number
-of panels actually refined.
+you have the memory).  Transforms and both radial-derivative methods are
+O(n log n); poisson_extend and evaluate_trig are dense in angles times
+modes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
-
-from .exceptions import QuadratureNonConvergent
 
 __all__ = [
     "CircleGrid",
@@ -52,7 +49,13 @@ __all__ = [
 # chunk; keeps the outer-product buffers around 64 MB.
 _EVAL_BUDGET = 1 << 22
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Spectral magnitudes below this fraction of the largest are skipped in
+# dense evaluation.
+_DROP_TOL = 1e-14
+
+# Quadrature nodes on each side of theta = 0 whose numerator is summed in
+# product form rather than differenced.
+_NEAR_NODES = 8
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -193,13 +196,12 @@ def poisson_extend(f: BoundaryFunction, r: float, theta):
     """
     if not (0.0 <= r < 1.0):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    c = fourier_coeffs(f)
-    k = np.arange(1, len(c.a))
-    rk = r ** k.astype(float)
+    _require_real(f, "poisson_extend")
+    spec = np.fft.rfft(f.values)
+    spec *= r ** np.arange(len(spec), dtype=float)
     th = np.asarray(theta, dtype=float)
-    ang = np.multiply.outer(np.atleast_1d(th), k)
-    out = c.a[0] + np.cos(ang) @ (rk * c.a[1:]) + np.sin(ang) @ (rk * c.b[1:])
-    return float(out[0]) if th.ndim == 0 else out
+    out = _eval_halfspec(spec, f.grid.n, np.atleast_1d(th).ravel())
+    return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 
 def poisson_radial(f: BoundaryFunction, radii, theta: float = 0.0) -> np.ndarray:
@@ -214,15 +216,20 @@ def poisson_radial(f: BoundaryFunction, radii, theta: float = 0.0) -> np.ndarray
     return c.a[0] + powers @ profile
 
 
-def _eval_halfspec(spec: np.ndarray, n: int, pts: np.ndarray, drop_tol: float) -> np.ndarray:
-    """Evaluate the interpolant from its rfft half-spectrum at given angles."""
+def _eval_halfspec(spec: np.ndarray, n: int, pts: np.ndarray) -> np.ndarray:
+    """Evaluate the interpolant from its rfft half-spectrum at given angles.
+
+    Modes whose magnitude falls below _DROP_TOL times the largest one are
+    skipped: invisible next to double rounding, but nearly-sparse spectra
+    then evaluate in microseconds.
+    """
     half = spec[1:].copy()
     if len(half):
         half[-1] *= 0.5  # Nyquist enters the 2 Re(...) form at half weight
     mx = float(np.max(np.abs(half))) if len(half) else 0.0
     acc = np.zeros(len(pts), dtype=complex)
     if mx > 0.0:
-        keep = np.nonzero(np.abs(half) > drop_tol * mx)[0]
+        keep = np.nonzero(np.abs(half) > _DROP_TOL * mx)[0]
         ks = (keep + 1).astype(float)
         coefs = half[keep]
         chunk = max(1, _EVAL_BUDGET // max(1, len(ks)))
@@ -232,48 +239,15 @@ def _eval_halfspec(spec: np.ndarray, n: int, pts: np.ndarray, drop_tol: float) -
     return (spec[0].real + 2.0 * acc.real) / n
 
 
-def evaluate_trig(f: BoundaryFunction, theta, drop_tol: float = 1e-14):
-    """Evaluate the trigonometric interpolant of f at arbitrary angles.
-
-    Modes whose spectral magnitude falls below drop_tol times the largest
-    one are skipped; at the default this is invisible next to double
-    rounding but lets nearly-sparse spectra evaluate in microseconds.
-    """
+def evaluate_trig(f: BoundaryFunction, theta):
+    """Evaluate the trigonometric interpolant of f at arbitrary angles."""
     _require_real(f, "evaluate_trig")
     th = np.asarray(theta, dtype=float)
-    out = _eval_halfspec(np.fft.rfft(f.values), f.grid.n, np.atleast_1d(th).ravel(), drop_tol)
+    out = _eval_halfspec(np.fft.rfft(f.values), f.grid.n, np.atleast_1d(th).ravel())
     return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 
-def _adaptive_panel(fvals, a: float, b: float, tol: float, max_refine: int) -> float:
-    """Composite 16-point Gauss-Legendre on [a, b], doubling until settled."""
-    prev = None
-    m = 1
-    for _ in range(max_refine + 1):
-        edges = np.linspace(a, b, m + 1)
-        h = (b - a) / m
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        pts = (centers[:, None] + (0.5 * h) * _GL_X[None, :]).ravel()
-        weights = np.tile((0.5 * h) * _GL_W, m)
-        cur = float(np.dot(weights, fvals(pts)))
-        if prev is not None and abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-        m *= 2
-    raise QuadratureNonConvergent(
-        f"panel [{a:.6e}, {b:.6e}] not resolved to {tol:.3e} "
-        f"after {max_refine} refinements"
-    )
-
-
-def radial_derivative(
-    f: BoundaryFunction,
-    method: str = "spectral",
-    *,
-    theta_min: float = 1e-12,
-    rel_tol: float = 1e-8,
-    max_refine: int = 14,
-) -> float:
+def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
     """d/dr at r = 1 of the harmonic extension of f, along the ray theta = 0.
 
     method="spectral": the coefficient sum over k >= 1 of k a_k.
@@ -282,21 +256,20 @@ def radial_derivative(
 
         (1/2pi) integral_0^{2pi} (f(0) - f(theta)) / (1 - cos theta) dtheta
 
-    folded onto [0, pi], which realizes the principal value: the odd part
-    of f cancels between theta and 2pi - theta and only the even part
+    by the trapezoid rule at the n half-shifted nodes
+    theta_m = 2pi (m + 1/2)/n.  The nodes are symmetric about 0, so the
+    odd part of f (the sine modes) drops out and only the even part
+    contributes, through the kernel
 
-        E(theta) = 2 sum_{k>=1} a_k sin^2(k theta / 2) / sin^2(theta / 2)
+        (1 - cos k theta) / (1 - cos theta) = sum_{|j|<k} (k - |j|) e^{i j theta}.
 
-    survives.  E is evaluated term by term in exactly this product form;
-    no difference of nearly equal function values is ever taken, so the
-    integrand stays clean arbitrarily close to 0.  Integration runs over
-    dyadic panels [pi 2^{-j-1}, pi 2^{-j}] down to theta_min with an
-    adaptive Gauss-Legendre rule per panel; the remaining sliver
-    [0, theta_min] contributes its limit value E(0) = 2 sum k^2 a_k times
-    its width.
-
-    Raises QuadratureNonConvergent when a panel fails to settle within
-    max_refine doublings.
+    For k <= n/2 this is a trigonometric polynomial of degree < n, which
+    the n-node rule integrates exactly; the rule is the spectral sum
+    evaluated in physical space, not an approximation to it.  The
+    even-part values come from one zero-padded irfft of length 2n.  On
+    the nodes nearest theta = 0 the numerator is taken in the product
+    form 2 sum a_k sin^2(k theta / 2) instead, so no difference of nearly
+    equal values is divided by the small 1 - cos theta there.
     """
     _require_real(f, "radial_derivative")
     c = fourier_coeffs(f)
@@ -306,35 +279,17 @@ def radial_derivative(
         return float(np.dot(k, a))
     if method != "quadrature":
         raise ValueError(f"unknown radial_derivative method: {method!r}")
-    if not (0.0 < theta_min <= 1e-3):
-        raise ValueError("theta_min must lie in (0, 1e-3]")
 
-    scale = max(float(np.dot(k, np.abs(a))), 1e-300)
-    # Drop modes whose total contribution k|a_k| is invisible at the
-    # requested tolerance; calibration cosines then cost a single term.
-    keep = np.nonzero(k * np.abs(a) > 1e-3 * rel_tol * scale / len(a))[0]
-    if len(keep) == 0:
-        return 0.0
-    ak = a[keep]
-    half_k = 0.5 * k[keep]
-    ksq = float(np.dot(k[keep] ** 2, ak))
-
-    def folded(th: np.ndarray) -> np.ndarray:
-        s = np.sin(0.5 * th)
-        num = np.empty(len(th))
-        chunk = max(1, _EVAL_BUDGET // len(ak))
-        for lo in range(0, len(th), chunk):
-            sk = np.sin(np.multiply.outer(th[lo : lo + chunk], half_k))
-            num[lo : lo + chunk] = (sk * sk) @ ak
-        return 2.0 * num / (s * s)
-
-    panels = max(1, math.ceil(math.log2(math.pi / theta_min)))
-    tol_panel = rel_tol * scale / (panels + 1)
-    total = 2.0 * ksq * (math.pi * 2.0 ** (-panels))  # sliver at the limit value
-    for j in range(panels):
-        hi = math.pi * 2.0 ** (-j)
-        total += _adaptive_panel(folded, 0.5 * hi, hi, tol_panel, max_refine)
-    return total / (2.0 * math.pi)
+    n = f.grid.n
+    # Half-spectrum of the even part on 2n points.  a_{n/2} carries no
+    # factor 2, so the Nyquist bin enters at half weight automatically.
+    even = np.fft.irfft(np.concatenate(([0.0], n * a)), 2 * n)
+    th = (np.arange(n // 2) + 0.5) * (2.0 * np.pi / n)  # nodes in (0, pi)
+    num = even[0] - even[1:n:2]
+    for m in range(min(_NEAR_NODES, n // 2)):
+        num[m] = 2.0 * np.sum(a * np.sin((0.5 * th[m]) * k) ** 2)
+    # 1 - cos theta = 2 sin^2(theta/2); each node pairs with 2pi - theta_m.
+    return float(np.sum(num / np.sin(0.5 * th) ** 2) / n)
 
 
 def holomorphy_defect(u: BoundaryFunction, v: BoundaryFunction) -> float:

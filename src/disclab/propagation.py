@@ -6,7 +6,7 @@ One experiment fixes a squeezed disc family (alpha), a flat profile
   1. solves the Bishop problem on the fully deformed surface (eta = 1)
      and evaluates the interior radial derivative of the height u at the
      contact point, by the spectral coefficient sum and independently by
-     the graded-mesh quadrature of the boundary representation;
+     the trapezoid-rule quadrature of the boundary representation;
   2. re-solves along a grid of deformation strengths eta in [-1, 1] and
      classifies every boundary point of every disc as lying on the
      undeformed surface or inside the delta-ball around the squeeze
@@ -98,7 +98,7 @@ class EtaCell:
 @dataclasses.dataclass(frozen=True)
 class PropagationReport:
     alpha: float
-    radial_derivative: float  # primary value: graded-mesh quadrature at eta = 1
+    radial_derivative: float  # primary value: trapezoid-rule quadrature at eta = 1
     radial_derivative_spectral: float
     radial_derivative_quadrature: float
     radial_discrepancy: float

@@ -1,9 +1,10 @@
 """Shared fixtures and independent reference implementations.
 
 The reference helpers here deliberately avoid the code paths they are
-used to check: the midpoint rule below shares nothing with the graded
-Gauss-Legendre mesh inside radial_derivative except the folded-integrand
-identity itself.
+used to check: the midpoint rule below shares nothing with the
+half-shifted trapezoid rule inside radial_derivative except the
+folded-integrand identity itself; it sums the product form at every
+point of a much finer mesh instead of reading values off an FFT.
 """
 
 import numpy as np

@@ -127,6 +127,15 @@ def test_points_up_below_the_threshold():
     assert rep.radial_derivative == pytest.approx(-6.394569, rel=1e-4)
 
 
+def test_quadrature_matches_spectral_on_a_large_grid():
+    # the trapezoid rule is exact for the interpolant, so the two methods
+    # differ only by rounding even where the s = 0.5 spectrum is broad
+    rep = run_experiment(
+        ExperimentConfig(s=0.5, alpha=0.05, eta_grid=(1.0,), n=1 << 16)
+    )
+    assert rep.radial_discrepancy <= 1e-10
+
+
 # ---- search over alpha
 
 
