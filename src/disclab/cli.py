@@ -10,14 +10,16 @@ the full deformation experiment.
 
 Every subcommand resolves its parameters in three layers: built-in
 defaults, then a JSON config file given with --config, then explicit
-flags.  Data goes to --out (default standard output) as CSV or JSON;
-progress and verdict messages go to standard error.  Outputs are
+flags; one parameter spec per subcommand (`_SUBCOMMANDS`) drives all
+three.  Data goes to --out (default standard output) as CSV or JSON,
+or, for `flatness`, `fa-scan` and `propagate`, as a human-readable
+table; progress and verdict messages go to standard error.  Outputs are
 deterministic: the same resolved configuration produces byte-identical
 bytes.
 
-Exit codes: 0 success, 1 validation error (bad flag values, unresolvable
-grids), 2 numerical failure (non-convergence), with the failure
-serialized to the output target as a JSON error object.
+Exit codes: 0 success, 1 validation error (bad flag or config values,
+unresolvable grids), 2 numerical failure (non-convergence), with the
+failure serialized to the output target as a JSON error object.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import json
 import math
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotics import dichotomy_scan
+from .asymptotics import FAlphaSpec, dichotomy_scan
 from .bishop import BishopProblem, attachment_residual, solve_bishop
 from .circle import BoundaryFunction, CircleGrid, conjugate, hilbert_t1
 from .disc_family import (
@@ -41,60 +44,16 @@ from .disc_family import (
     phi_boundary,
 )
 from .exceptions import DiscLabError
-from .profiles import KIND_IM, BumpDeformation, FlatProfile
+from .profiles import KIND_IM, BumpDeformation, FlatProfile, flatness_order_check
 from .propagation import ExperimentConfig, alpha_search, run_experiment
 
 __all__ = ["main", "dispatch"]
 
 _LN10 = math.log(10.0)
 
-# built-in parameter defaults, overridden by --config, then by flags
-_DEFAULTS = {
-    "selftest": {"n": 1024},
-    "disc": {"alpha": 0.1, "eps_shift": 0.0, "delta": 0.2, "n": 4096},
-    "flatness": {"s": 1.0, "alpha": 0.1},
-    "fa-scan": {"s": (1.0,), "alphas": (0.2, 0.1, 0.05), "delta": 1.0},
-    "attach": {
-        "s": 1.0,
-        "alpha": 0.1,
-        "eps_shift": 0.0,
-        "delta": None,
-        "eps_window": None,
-        "eta": None,
-        "n": 1 << 14,
-        "tol": 1e-12,
-        "max_iter": 64,
-    },
-    "propagate": {
-        "s": 1.0,
-        "alpha": 0.1,
-        "alphas": None,
-        "delta": 0.2,
-        "eps_window": None,
-        "eps_shift": 0.0,
-        "etas": None,
-        "n": 1 << 14,
-        "tol": 1e-12,
-        "max_iter": 64,
-        "seed": 0,
-    },
-}
-
-# how config-file values coerce, per key; fa-scan reads s as a list
-_KEY_KINDS = {
-    "s": "float",
-    "alpha": "float",
-    "delta": "float",
-    "eps_window": "float",
-    "eps_shift": "float",
-    "eta": "float",
-    "tol": "float",
-    "n": "int",
-    "max_iter": "int",
-    "seed": "int",
-    "alphas": "floats",
-    "etas": "floats",
-}
+# acceptance criterion 3's grid: order k = 8 attenuates by 1e-10 only near 1e-42.6
+_FLAT_THETAS = [10.0 ** -j for j in range(1, 61)]
+_FLAT_K_MAX = 8
 
 
 class _UsageError(ValueError):
@@ -112,30 +71,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _float_list(text: str) -> tuple:
-    toks = [tok for tok in text.split(",") if tok.strip()]
-    if not toks:
-        raise argparse.ArgumentTypeError("expected a comma-separated number list")
-    return tuple(float(tok) for tok in toks)
-
-
-def _coerce(key: str, val, list_keys: frozenset):
-    kind = "floats" if key in list_keys else _KEY_KINDS.get(key, "str")
-    if kind == "float":
-        return float(val)
-    if kind == "int":
-        return int(val)
-    if kind == "floats":
-        if isinstance(val, str):
-            return _float_list(val)
-        return tuple(float(x) for x in val)
-    return str(val)
+def _floats(val) -> tuple:
+    """A comma-separated flag value, or a config-file list, as a float tuple."""
+    if isinstance(val, str):
+        val = [tok for tok in val.split(",") if tok.strip()]
+        if not val:
+            raise argparse.ArgumentTypeError("expected a comma-separated number list")
+    return tuple(float(x) for x in val)
 
 
 def _resolve(sub: str, args: argparse.Namespace) -> dict:
     """defaults < --config JSON < explicit flags, with unknown keys rejected."""
-    cfg = dict(_DEFAULTS[sub])
-    list_keys = frozenset({"alphas", "etas"} | ({"s"} if sub == "fa-scan" else set()))
+    params = {p.name: p for p in _SUBCOMMANDS[sub].params}
+    cfg = {name: p.default for name, p in params.items()}
     path = getattr(args, "config", None)
     if path is not None:
         try:
@@ -148,7 +96,12 @@ def _resolve(sub: str, args: argparse.Namespace) -> dict:
         for key, val in data.items():
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for subcommand {sub!r}")
-            cfg[key] = _coerce(key, val, list_keys)
+            try:
+                cfg[key] = params[key].kind(val)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(
+                    f"config key {key!r} for subcommand {sub!r} has a bad value {val!r}"
+                ) from exc
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
@@ -189,6 +142,20 @@ def _emit_json(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2) + "\n"
 
 
+def _emit_lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_as(out_path, fmt, header, rows, doc, table=()) -> None:
+    """`rows` under `header` as CSV, `doc` as JSON, or the `table` lines."""
+    if fmt == "csv":
+        _write(out_path, _emit_csv(header, rows))
+    elif fmt == "json":
+        _write(out_path, _emit_json(doc))
+    else:
+        _write(out_path, _emit_lines(table))
+
+
 def _write(out_path, text: str) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -211,17 +178,15 @@ def _run_selftest(cfg, out_path, fmt) -> int:
     rng = np.random.default_rng(0)
     checks = []
 
-    worst = 0.0
-    for k in range(1, n // 4 + 1):
-        got = conjugate(BoundaryFunction(grid, np.cos(k * th))).values
-        worst = max(worst, float(np.max(np.abs(got - np.sin(k * th)))))
-    checks.append(("conjugate maps cos(k t) to sin(k t), k <= n/4", worst))
-
-    worst = 0.0
-    for k in range(1, n // 4 + 1):
-        got = conjugate(BoundaryFunction(grid, np.sin(k * th))).values
-        worst = max(worst, float(np.max(np.abs(got + np.cos(k * th)))))
-    checks.append(("conjugate maps sin(k t) to -cos(k t), k <= n/4", worst))
+    for name, mode, image in (
+        ("cos(k t) to sin(k t)", np.cos, np.sin),
+        ("sin(k t) to -cos(k t)", np.sin, lambda x: -np.cos(x)),
+    ):
+        worst = 0.0
+        for k in range(1, n // 4 + 1):
+            got = conjugate(BoundaryFunction(grid, mode(k * th))).values
+            worst = max(worst, float(np.max(np.abs(got - image(k * th)))))
+        checks.append((f"conjugate maps {name}, k <= n/4", worst))
 
     zeros = conjugate(BoundaryFunction(grid, np.ones(n))).values
     checks.append(("conjugate annihilates constants", float(np.max(np.abs(zeros)))))
@@ -239,11 +204,11 @@ def _run_selftest(cfg, out_path, fmt) -> int:
         ("normalized transform vanishes at tau = 1", abs(float(hilbert_t1(f).values[0])))
     )
 
-    failures = 0
-    for name, err in checks:
-        good = err <= 1e-12
-        failures += 0 if good else 1
-        print(f"{'ok' if good else 'FAIL'} {name}: max err {err:.3e}")
+    lines = [
+        f"{'ok' if err <= 1e-12 else 'FAIL'} {name}: max err {err:.3e}" for name, err in checks
+    ]
+    _write(out_path, _emit_lines(lines))
+    failures = sum(line.startswith("FAIL") for line in lines)
     if failures:
         _note(f"selftest: {failures} of {len(checks)} identities failed")
         return 2
@@ -262,8 +227,14 @@ def _run_disc(cfg, out_path, fmt) -> int:
         concentrated = concentration_bound_check(params, cfg["delta"])
     rows = [(float(t), float(p.real), float(p.imag)) for t, p in zip(grid.theta, phi)]
     header = ("theta", "re_phi", "im_phi")
+    doc = {
+        "config": cfg,
+        "concentrated_within_delta": concentrated,
+        "columns": list(header),
+        "rows": rows,
+    }
+    _write_as(out_path, fmt, header, rows, doc)
     if fmt == "csv":
-        _write(out_path, _emit_csv(header, rows))
         if concentrated is None:
             _note("concentration check skipped: needs eps_shift = 0")
         else:
@@ -271,18 +242,6 @@ def _run_disc(cfg, out_path, fmt) -> int:
                 f"boundary concentrates within delta={_fmt(cfg['delta'])} "
                 f"of the squeeze limit: {_fmt(concentrated)}"
             )
-    else:
-        _write(
-            out_path,
-            _emit_json(
-                {
-                    "config": cfg,
-                    "concentrated_within_delta": concentrated,
-                    "columns": list(header),
-                    "rows": rows,
-                }
-            ),
-        )
     return 0
 
 
@@ -290,30 +249,34 @@ def _run_disc(cfg, out_path, fmt) -> int:
 
 
 def _run_flatness(cfg, out_path, fmt) -> int:
-    s = cfg["s"]
     alpha = cfg["alpha"]
-    if not (s > 0.0):
-        raise ValueError(f"s must be positive, got {s}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    decades = np.arange(1, 25)
     rows = []
-    for k in range(1, 9):
-        for j in decades:
-            theta = 10.0 ** (-float(j))
-            inv = float(inv_abs_im_phi_logtheta(alpha, float(j) * _LN10))
-            log_g = -(inv**s)
-            with np.errstate(over="ignore"):
-                ratio = float(np.exp(log_g + k * float(j) * _LN10))
-            rows.append((s, alpha, k, theta, ratio))
-    header = ("s", "alpha", "k", "theta", "ratio")
-    if fmt == "csv":
-        _write(out_path, _emit_csv(header, rows))
-    else:
-        _write(
-            out_path,
-            _emit_json({"config": cfg, "columns": list(header), "rows": rows}),
-        )
+    table = [
+        f"alpha={alpha:g}, grid theta=1e-1..1e-{len(_FLAT_THETAS)}",
+        f"{'s':>5} {'k':>3} {'log10 first':>12} {'log10 last':>11} "
+        f"{'attenuation':>12} {'flat to order k':>15}",
+    ]
+    for s in cfg["s"]:
+        if not (s > 0.0):
+            raise ValueError(f"s must be positive, got {s}")
+
+        def log_g(theta, s=s):
+            return -(inv_abs_im_phi_logtheta(alpha, -math.log(theta)) ** s)
+
+        for k in range(1, _FLAT_K_MAX + 1):
+            log_ratios, flat = flatness_order_check(log_g, k, _FLAT_THETAS)
+            log10s = [r / _LN10 for r in log_ratios]
+            rows.extend((s, alpha, k, t, r) for t, r in zip(_FLAT_THETAS, log10s))
+            att = log10s[-1] - log10s[0]
+            table.append(
+                f"{s:>5.3g} {k:>3} {log10s[0]:>12.3f} {log10s[-1]:>11.3f} "
+                f"{'1e' + format(att, '+.1f'):>12} {'yes' if flat else 'no':>15}"
+            )
+    header = ("s", "alpha", "k", "theta", "log10_ratio")
+    doc = {"config": cfg, "columns": list(header), "rows": rows}
+    _write_as(out_path, fmt, header, rows, doc, table)
     return 0
 
 
@@ -323,29 +286,27 @@ def _run_flatness(cfg, out_path, fmt) -> int:
 def _run_fa_scan(cfg, out_path, fmt) -> int:
     result = dichotomy_scan(cfg["s"], cfg["alphas"], cfg["delta"])
     rows = []
+    table = [
+        f"{'s':>6} {'alpha':>7} {'F_alpha':>14} {'log F_alpha':>13} {'rel_err':>9} {'trunc':>5}"
+    ]
     failures = 0
     for s, a, res in result.cells:
         if res is None:
             rows.append((s, a, math.nan, math.nan, False))
+            table.append(f"{s:>6.3g} {a:>7.3g} {'failed':>14}")
             failures += 1
         else:
             rows.append((s, a, res.value, res.abs_err, res.truncated))
+            table.append(
+                f"{s:>6.3g} {a:>7.3g} {res.value:>14.6e} {res.log_value:>13.4f} "
+                f"{res.rel_err:>9.1e} {_fmt(res.truncated):>5}"
+            )
     header = ("s", "alpha", "f_alpha", "abs_err", "truncated")
     verdicts = [{"s": s, "verdict": v} for s, v in result.verdicts]
-    if fmt == "csv":
-        _write(out_path, _emit_csv(header, rows))
-    else:
-        _write(
-            out_path,
-            _emit_json(
-                {
-                    "config": cfg,
-                    "columns": list(header),
-                    "rows": rows,
-                    "verdicts": verdicts,
-                }
-            ),
-        )
+    doc = {"config": cfg, "columns": list(header), "rows": rows, "verdicts": verdicts}
+    table.append("")
+    table.extend(f"s={s:g}: {v} as alpha decreases" for s, v in result.verdicts)
+    _write_as(out_path, fmt, header, rows, doc, table)
     for entry in verdicts:
         _note(f"verdict s={_fmt(entry['s'])}: {entry['verdict']}")
     if failures:
@@ -360,15 +321,12 @@ def _run_fa_scan(cfg, out_path, fmt) -> int:
 def _run_attach(cfg, out_path, fmt) -> int:
     params = DiscFamilyParams(alpha=cfg["alpha"], eps_shift=cfg["eps_shift"])
     base = FlatProfile(kind=KIND_IM, s=cfg["s"])
-    wants_bump = any(cfg[key] is not None for key in ("delta", "eps_window", "eta"))
+    bump = {key: cfg[key] for key in ("delta", "eps_window", "eta") if cfg[key] is not None}
+    wants_bump = bool(bump)
     if wants_bump:
-        surface = BumpDeformation(
-            base=base,
-            delta=0.2 if cfg["delta"] is None else cfg["delta"],
-            alpha=cfg["alpha"],
-            eps_window=cfg["eps_window"],
-            eta=1.0 if cfg["eta"] is None else cfg["eta"],
-        )
+        # an unset bump size is the experiment's ball radius, as in `propagate`
+        bump.setdefault("delta", _dataclass_param(ExperimentConfig, "delta").default)
+        surface = BumpDeformation(base=base, alpha=cfg["alpha"], **bump)
     else:
         surface = base
     grid = CircleGrid(n=cfg["n"])
@@ -427,17 +385,8 @@ def _run_attach(cfg, out_path, fmt) -> int:
 
 
 def _run_propagate(cfg, out_path, fmt) -> int:
-    kwargs = {
-        "s": cfg["s"],
-        "alpha": cfg["alpha"],
-        "delta": cfg["delta"],
-        "eps_window": cfg["eps_window"],
-        "eps_shift": cfg["eps_shift"],
-        "n": cfg["n"],
-        "tol": cfg["tol"],
-        "max_iter": cfg["max_iter"],
-        "seed": cfg["seed"],
-    }
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    kwargs = {key: cfg[key] for key in fields if key in cfg}
     if cfg["etas"] is not None:
         kwargs["eta_grid"] = tuple(cfg["etas"])
     xcfg = ExperimentConfig(**kwargs)
@@ -445,17 +394,12 @@ def _run_propagate(cfg, out_path, fmt) -> int:
         report = alpha_search(xcfg, cfg["alphas"])
     else:
         report = run_experiment(xcfg)
-    if fmt == "csv":
-        rows = [
-            (c.eta, c.radial_derivative, c.min_x2, c.converged)
-            for c in report.eta_classifications
-        ]
-        _write(
-            out_path,
-            _emit_csv(("eta", "radial_derivative", "min_x2", "converged"), rows),
-        )
-    else:
-        _write(out_path, _emit_json(dataclasses.asdict(report)))
+    header = ("eta", "radial_derivative", "min_x2", "converged")
+    rows = [
+        (c.eta, c.radial_derivative, c.min_x2, c.converged) for c in report.eta_classifications
+    ]
+    doc = dataclasses.asdict(report)
+    _write_as(out_path, fmt, header, rows, doc, _propagate_table(report))
     _note(
         f"alpha={_fmt(report.alpha)}: radial derivative "
         f"{report.radial_derivative:.6e} (quadrature) vs "
@@ -465,78 +409,133 @@ def _run_propagate(cfg, out_path, fmt) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- parsing
+def _propagate_table(report) -> list:
+    xcfg = report.config
+    lines = [
+        f"s={xcfg.s:g}  alpha={report.alpha:g}  delta={xcfg.delta:g}  n={xcfg.n}",
+        f"radial derivative  quadrature {report.radial_derivative_quadrature:+.9e}",
+        f"                   spectral   {report.radial_derivative_spectral:+.9e}",
+        f"                   discrepancy {report.radial_discrepancy:.3e}",
+        f"points_down={_fmt(report.points_down)}  "
+        f"coverage_min_x2={report.coverage_min_x2:+.3e}",
+        "",
+        "transversal profile along the inward radius:",
+    ]
+    lines.extend(f"  r={r:<8g} u={val:+.6e}" for r, val in report.transversal_profile)
+    lines.append("")
+    lines.append(
+        f"{'eta':>6} {'conv':>5} {'on_surface':>10} {'in_ball':>8} "
+        f"{'neither':>7} {'rad_deriv':>13} {'min_x2':>13}"
+    )
+    lines.extend(
+        f"{c.eta:>6.2f} {_fmt(c.converged):>5} {c.on_surface:>10} {c.in_ball:>8} "
+        f"{c.neither:>7} {c.radial_derivative:>13.4e} {c.min_x2:>13.4e}"
+        for c in report.eta_classifications
+    )
+    return lines
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--config", default=None, help="JSON file with parameter defaults")
+# ------------------------------------------------------- parameter spec
+
+
+class _Param(NamedTuple):
+    name: str  # config key; the flag is --name with "_" written as "-"
+    kind: object  # float, int or _floats: coerces flag text and config values alike
+    default: object = None
+    help: str | None = None
+
+
+class _Subcommand(NamedTuple):
+    help: str
+    run: object  # (cfg, out_path, fmt) -> exit code
+    formats: tuple  # --format choices, the first being the default; () for no --format
+    params: tuple
+
+
+def _dataclass_param(cls, name: str) -> _Param:
+    """Parameter `name` with the default (and so the kind) that dataclass `cls` gives it."""
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+    return _Param(name, type(default), default)
+
+
+_S = _Param("s", float, 1.0)
+_S_LIST = _Param("s", _floats, (1.0,), "comma-separated list")
+_ALPHA = _Param("alpha", float, 0.1)
+_EPS_SHIFT = _dataclass_param(DiscFamilyParams, "eps_shift")
+_TABLE = ("csv", "json", "table")
+
+_SUBCOMMANDS = {
+    "selftest": _Subcommand(
+        "spectral identity suite", _run_selftest, (), (_Param("n", int, 1024),)
+    ),
+    "disc": _Subcommand(
+        "squeezed-disc boundary table",
+        _run_disc,
+        ("csv", "json"),
+        (_ALPHA, _EPS_SHIFT, _dataclass_param(ExperimentConfig, "delta"), _Param("n", int, 4096)),
+    ),
+    "flatness": _Subcommand(
+        "vanishing-order ratio tables", _run_flatness, _TABLE, (_S_LIST, _ALPHA)
+    ),
+    "fa-scan": _Subcommand(
+        "dichotomy integral scan",
+        _run_fa_scan,
+        _TABLE,
+        (
+            _S_LIST,
+            _Param("alphas", _floats, (0.2, 0.1, 0.05), "strictly decreasing"),
+            _dataclass_param(FAlphaSpec, "delta"),
+        ),
+    ),
+    "attach": _Subcommand(
+        "single Bishop solve, boundary trace",
+        _run_attach,
+        ("csv", "json"),
+        (
+            _S,
+            _ALPHA,
+            _EPS_SHIFT,
+            _Param("delta", float, None, "bump size; implies a deformed surface"),
+            _Param("eps_window", float, None, "bump window exponent"),
+            _Param("eta", float, None, "bump strength in [-1, 1]"),
+            _dataclass_param(ExperimentConfig, "n"),
+            _dataclass_param(BishopProblem, "tol"),
+            _dataclass_param(BishopProblem, "max_iter"),
+        ),
+    ),
+    "propagate": _Subcommand(
+        "deformation experiment report",
+        _run_propagate,
+        _TABLE,
+        (
+            _S,
+            _ALPHA,
+            _Param("alphas", _floats, None, "search grid, decreasing"),
+            _dataclass_param(ExperimentConfig, "delta"),
+            _Param("eps_window", float),
+            _dataclass_param(ExperimentConfig, "eps_shift"),
+            _Param("etas", _floats),
+            _dataclass_param(ExperimentConfig, "n"),
+            _dataclass_param(ExperimentConfig, "tol"),
+            _dataclass_param(ExperimentConfig, "max_iter"),
+            _Param("seed", int, None, "unused; accepted so older command lines still parse"),
+        ),
+    ),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="disclab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("selftest", help="spectral identity suite")
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("disc", help="squeezed-disc boundary table")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eps-shift", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("flatness", help="vanishing-order ratio tables")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("fa-scan", help="dichotomy integral scan")
-    p.add_argument("--s", type=_float_list, default=None, help="comma-separated list")
-    p.add_argument("--alphas", type=_float_list, default=None, help="strictly decreasing")
-    p.add_argument("--delta", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("attach", help="single Bishop solve, boundary trace")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eps-shift", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None, help="bump size; implies a deformed surface")
-    p.add_argument("--eps-window", type=float, default=None, help="bump window exponent")
-    p.add_argument("--eta", type=float, default=None, help="bump strength in [-1, 1]")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("propagate", help="deformation experiment report")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alphas", type=_float_list, default=None, help="search grid, decreasing")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps-window", type=float, default=None)
-    p.add_argument("--eps-shift", type=float, default=None)
-    p.add_argument("--etas", type=_float_list, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for param in spec.params:
+            p.add_argument("--" + param.name.replace("_", "-"), type=param.kind, help=param.help)
+        p.add_argument("--out", help="output path (default: stdout)")
+        if spec.formats:
+            p.add_argument("--format", default=spec.formats[0], choices=spec.formats)
+        p.add_argument("--config", help="JSON file with parameter defaults")
     return parser
-
-
-_RUNNERS = {
-    "selftest": _run_selftest,
-    "disc": _run_disc,
-    "flatness": _run_flatness,
-    "fa-scan": _run_fa_scan,
-    "attach": _run_attach,
-    "propagate": _run_propagate,
-}
 
 
 def dispatch(argv=None) -> int:
@@ -546,8 +545,8 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         out_path = args.out
         cfg = _resolve(args.subcommand, args)
-        fmt = args.format or "csv"
-        return _RUNNERS[args.subcommand](cfg, out_path, fmt)
+        run = _SUBCOMMANDS[args.subcommand].run
+        return run(cfg, out_path, getattr(args, "format", None))
     except _UsageError as exc:
         _note(f"usage error: {exc}")
         return 1

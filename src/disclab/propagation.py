@@ -55,8 +55,6 @@ class ExperimentConfig:
     n: int = 1 << 14
     tol: float = 1e-12
     max_iter: int = 64
-    seed: int = 0
-    profile_kind: str = KIND_IM
     r_profile: tuple = (0.9, 0.99, 0.999, 0.9999)
     r_coverage: tuple = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 
@@ -111,7 +109,7 @@ class PropagationReport:
 
 def _solve_at_eta(cfg: ExperimentConfig, grid: CircleGrid, eta: float) -> AttachedDisc:
     params = DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift)
-    base = FlatProfile(kind=cfg.profile_kind, s=cfg.s)
+    base = FlatProfile(kind=KIND_IM, s=cfg.s)
     surface = BumpDeformation(
         base=base,
         delta=cfg.delta,
@@ -139,12 +137,11 @@ def _classify(cfg: ExperimentConfig, disc: AttachedDisc) -> tuple:
     be vacuous (every node attaches to it by construction), so the
     residual here is taken against the base profile.
     """
-    base = FlatProfile(kind=cfg.profile_kind, s=cfg.s)
+    base = FlatProfile(kind=KIND_IM, s=cfg.s)
     phi = disc.phi.values
     u = disc.u.values
     v = disc.v.values
-    y1 = np.imag(phi) if cfg.profile_kind == KIND_IM else np.abs(phi)
-    base_height = profile_eval(base, y1)
+    base_height = profile_eval(base, np.imag(phi))
     on_surface = np.abs(u - base_height) <= cfg.tol
 
     center = SQUEEZE_LIMIT - cfg.eps_shift

@@ -6,12 +6,17 @@ smoke test at the bottom confirms the module entry point works.
 """
 
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from disclab.cli import main
+from disclab.cli import dispatch, main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -30,6 +35,19 @@ def test_selftest_green(capsys):
     assert len(lines) == 5
     assert all(line.startswith("ok ") for line in lines)
     assert err == ""
+
+
+def test_selftest_writes_to_out_and_has_no_format(tmp_path, capsys):
+    out_file = tmp_path / "selftest.txt"
+    rc, out, _ = run_cli(["selftest", "--n", "256", "--out", str(out_file)], capsys)
+    assert rc == 0
+    assert out == ""
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("ok ") for line in lines)
+    rc, _, err = run_cli(["selftest", "--format", "csv"], capsys)
+    assert rc == 1
+    assert "usage error" in err
 
 
 # ---- disc
@@ -80,12 +98,25 @@ def test_flatness_table_shape(tmp_path, capsys):
     rc, _, _ = run_cli(["flatness", "--out", str(out_file)], capsys)
     assert rc == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0] == "s,alpha,k,theta,ratio"
-    # 8 comparison exponents, 24 decades each
-    assert len(lines) == 1 + 8 * 24
+    assert lines[0] == "s,alpha,k,theta,log10_ratio"
+    # 8 comparison exponents, 60 decades each
+    assert len(lines) == 1 + 8 * 60
     assert lines[1].startswith("1.0,0.1,1,0.1,")
-    ratios_k1 = [float(line.split(",")[4]) for line in lines[1:25]]
-    assert ratios_k1[-1] < 1e-10 * ratios_k1[0]
+    log10_k1 = [float(line.split(",")[4]) for line in lines[1:61]]
+    assert log10_k1[-1] - log10_k1[0] < -10
+
+
+def test_flatness_table_format(capsys):
+    rc, out, _ = run_cli(["flatness", "--s", "0.4,1", "--format", "table"], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "alpha=0.1, grid theta=1e-1..1e-60"
+    # columns: s, k, log10 first, log10 last, attenuation, flat to order k
+    rows = {(row[0], row[1]): row[4:] for row in (line.split() for line in lines[2:])}
+    assert len(rows) == 16
+    assert rows[("1", "1")] == ["1e-577.7", "yes"]
+    assert rows[("1", "8")] == ["1e-164.7", "yes"]
+    assert rows[("0.4", "3")] == ["1e+170.3", "no"]
 
 
 # ---- fa-scan
@@ -115,6 +146,34 @@ def test_fa_scan_json_verdicts(tmp_path, capsys):
     assert set(doc) == {"config", "columns", "rows", "verdicts"}
     assert doc["verdicts"] == [{"s": 1.0, "verdict": "vanishing"}]
     assert len(doc["rows"]) == 3
+
+
+def test_fa_scan_table_format(capsys):
+    rc, out, _ = run_cli(
+        [
+            "fa-scan",
+            "--s",
+            "0.75,1,2",
+            "--alphas",
+            "0.2,0.1,0.05,0.025,0.0125",
+            "--format",
+            "table",
+        ],
+        capsys,
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["s", "alpha", "F_alpha", "log", "F_alpha", "rel_err", "trunc"]
+    # (s, alpha) -> (log F_alpha, trunc)
+    rows = {(r[0], r[1]): (r[3], r[5]) for r in (line.split() for line in lines[1:16])}
+    assert rows[("0.75", "0.025")] == ("21.5992", "false")
+    assert rows[("0.75", "0.0125")] == ("101.5723", "true")
+    assert rows[("2", "0.025")][0] == "-21622.7640"
+    assert lines[-3:] == [
+        "s=0.75: diverging as alpha decreases",
+        "s=1: vanishing as alpha decreases",
+        "s=2: vanishing as alpha decreases",
+    ]
 
 
 # ---- attach
@@ -242,6 +301,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key 'bogus' for subcommand 'disc'" in err
 
 
+@pytest.mark.parametrize(
+    "sub, cfg",
+    [("fa-scan", {"s": 1}), ("disc", {"n": [1]})],
+)
+def test_wrong_typed_config_value_rejected(tmp_path, capsys, sub, cfg):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    rc, _, err = run_cli([sub, "--config", str(cfg_file)], capsys)
+    assert rc == 1
+    (key,) = cfg
+    assert f"validation error: config key {key!r} for subcommand {sub!r}" in err
+
+
 def test_bad_flag_value_is_usage_error(capsys):
     rc, _, err = run_cli(["disc", "--n", "notanint"], capsys)
     assert rc == 1
@@ -327,6 +399,20 @@ def test_propagate_json_schema(tmp_path, capsys):
     assert doc["config"]["eta_grid"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
+def test_propagate_table_format(capsys):
+    rc, out, _ = run_cli(
+        ["propagate", "--s", "1", "--alpha", "0.2", "--n", "4096", "--format", "table"],
+        capsys,
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "s=1  alpha=0.2  delta=0.2  n=4096"
+    assert "points_down=true  coverage_min_x2=-7.035e-04" in lines
+    assert "  r=0.99     u=-7.035357e-04" in lines
+    # the eta table ends with the default grid's eta = 1 row
+    assert lines[-1].split()[:2] == ["1.00", "true"]
+
+
 def test_propagate_alpha_search_flag(tmp_path, capsys):
     out_file = tmp_path / "prop.json"
     rc, _, err = run_cli(
@@ -339,6 +425,24 @@ def test_propagate_alpha_search_flag(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["alpha"] == 0.2
     assert doc["points_down"] is True
+
+
+# ---- documentation
+
+
+def _readme_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("disclab ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert dispatch(argv) == 0, argv
+        capsys.readouterr()
 
 
 # ---- module entry point
