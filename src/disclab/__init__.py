@@ -44,6 +44,7 @@ from .circle import (
     poisson_radial,
     radial_derivative,
     reconstruct,
+    spectral_identity_errors,
 )
 from .disc_family import (
     SQUEEZE_LIMIT,
@@ -97,6 +98,7 @@ __all__ = [
     "radial_derivative",
     "holomorphy_defect",
     "holder_seminorm",
+    "spectral_identity_errors",
     # disc family
     "SQUEEZE_LIMIT",
     "DiscFamilyParams",

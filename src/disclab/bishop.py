@@ -18,12 +18,23 @@ looping.
 
 Surfaces are duck-typed: anything with a boundary_trace(theta,
 phi_values, v_values) -> real array method works, including test
-surfaces that genuinely couple to v.
+surfaces that genuinely couple to v.  A surface whose class sets
+couples_to_y2 = False declares that its trace ignores v; the solver then
+traces it and applies T_1 once, and reuses that iterate for the second
+step, which recomputing would reproduce bit for bit (so such a solve
+still reports 2 iterations and a final increment of 0).  A surface
+without the attribute is taken to couple.
+
+Only work whose result is read is done: phi on the grid is computed once
+per (disc, grid) pair and shared read-only by consecutive solves, and
+the report's holomorphy defect and Hoelder seminorm are computed on
+first read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -82,12 +93,22 @@ class BishopProblem:
 
 @dataclasses.dataclass(frozen=True)
 class SolveReport:
+    """Convergence record of one solve; the diagnostics are computed on first read."""
+
     iterations: int
     residual: float  # final sup-norm increment
     contraction: float  # largest observed ratio of consecutive increments
     converged: bool
-    holomorphy_defect: float
-    holder_seminorm: float
+    u: BoundaryFunction = dataclasses.field(repr=False, compare=False)
+    v: BoundaryFunction = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def holomorphy_defect(self) -> float:
+        return holomorphy_defect(self.u, self.v)
+
+    @functools.cached_property
+    def holder_seminorm(self) -> float:
+        return holder_seminorm(self.v)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -101,6 +122,18 @@ class AttachedDisc:
     problem: BishopProblem
 
 
+@functools.lru_cache(maxsize=1)
+def _phi_on_grid(disc: DiscFamilyParams, grid: CircleGrid) -> np.ndarray:
+    """phi on the grid's nodes, read-only; the last (disc, grid) pair is kept.
+
+    CircleGrid compares by identity, so the solves of one experiment,
+    which share a grid, share one evaluation.
+    """
+    phi = phi_boundary(disc, grid.theta)
+    phi.flags.writeable = False
+    return phi
+
+
 def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     """Picard iteration for v = T_1(h(phi, v)), then u = -T_1 v.
 
@@ -110,7 +143,8 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     """
     grid = p.grid
     theta = grid.theta
-    phi_vals = phi_boundary(p.disc, theta)
+    phi_vals = _phi_on_grid(p.disc, grid)
+    couples = getattr(p.surface, "couples_to_y2", True)
     if v0 is None:
         v = np.zeros(grid.n)
     else:
@@ -121,9 +155,11 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     increments = []
     converged = False
     iterations = 0
+    v_next = None
     for iterations in range(1, p.max_iter + 1):
-        trace = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
-        v_next = hilbert_t1(BoundaryFunction(grid, trace)).values
+        if couples or v_next is None:
+            trace = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
+            v_next = hilbert_t1(BoundaryFunction(grid, trace)).values
         inc = float(np.max(np.abs(v_next - v)))
         increments.append(inc)
         v = v_next
@@ -155,8 +191,8 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
         residual=increments[-1],
         contraction=max(ratios) if ratios else 0.0,
         converged=True,
-        holomorphy_defect=holomorphy_defect(ub, vb),
-        holder_seminorm=holder_seminorm(vb),
+        u=ub,
+        v=vb,
     )
     return AttachedDisc(
         phi=BoundaryFunction(grid, phi_vals), u=ub, v=vb, report=report, problem=p

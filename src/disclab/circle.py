@@ -43,6 +43,7 @@ __all__ = [
     "radial_derivative",
     "holomorphy_defect",
     "holder_seminorm",
+    "spectral_identity_errors",
 ]
 
 # Cap on the working-set size (points x modes) of one dense evaluation
@@ -331,3 +332,44 @@ def holder_seminorm(f: BoundaryFunction, beta: float = 0.5, max_nodes: int = 512
     if not np.any(mask):
         return 0.0
     return float(np.max(num[mask] / dth[mask] ** beta))
+
+
+def spectral_identity_errors(n: int) -> list:
+    """(name, max error) for each identity the transforms must satisfy on n nodes.
+
+    Conjugation maps cos k theta to sin k theta and sin k theta to
+    -cos k theta for k <= n/4 and annihilates constants; T(T f) =
+    mean(f) - f on a band-limited random sample; T_1 f vanishes at
+    tau = 1.  Every error is at rounding level on a working toolkit.
+    """
+    grid = CircleGrid(n=n)
+    th = grid.theta
+    rng = np.random.default_rng(0)
+    checks = []
+
+    for name, mode, image in (
+        ("cos(k t) to sin(k t)", np.cos, np.sin),
+        ("sin(k t) to -cos(k t)", np.sin, lambda x: -np.cos(x)),
+    ):
+        worst = 0.0
+        for k in range(1, n // 4 + 1):
+            got = conjugate(BoundaryFunction(grid, mode(k * th))).values
+            worst = max(worst, float(np.max(np.abs(got - image(k * th)))))
+        checks.append((f"conjugate maps {name}, k <= n/4", worst))
+
+    zeros = conjugate(BoundaryFunction(grid, np.ones(n))).values
+    checks.append(("conjugate annihilates constants", float(np.max(np.abs(zeros)))))
+
+    # band-limit the random sample so the double-conjugate identity is
+    # exact on the grid (the Nyquist mode is annihilated by design)
+    spec = np.fft.rfft(rng.standard_normal(n))
+    spec[n // 4 :] = 0.0
+    f = BoundaryFunction(grid, np.fft.irfft(spec, n))
+    twice = conjugate(conjugate(f)).values
+    target = -f.values + float(np.mean(f.values))
+    checks.append(("double conjugate is mean(f) - f", float(np.max(np.abs(twice - target)))))
+
+    checks.append(
+        ("normalized transform vanishes at tau = 1", abs(float(hilbert_t1(f).values[0])))
+    )
+    return checks

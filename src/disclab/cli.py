@@ -36,7 +36,7 @@ import numpy as np
 
 from .asymptotics import FAlphaSpec, dichotomy_scan
 from .bishop import BishopProblem, attachment_residual, solve_bishop
-from .circle import BoundaryFunction, CircleGrid, conjugate, hilbert_t1
+from .circle import CircleGrid, spectral_identity_errors
 from .disc_family import (
     DiscFamilyParams,
     concentration_bound_check,
@@ -80,6 +80,20 @@ def _floats(val) -> tuple:
     return tuple(float(x) for x in val)
 
 
+def _from_config(kind, val):
+    """A JSON config value as `kind`, refused where the same value as a flag would be.
+
+    JSON booleans are numbers to int() and float(), and int() truncates
+    300.9 to 300; neither a bool nor a fractional count passes as a flag.
+    """
+    items = val if isinstance(val, list) else [val]
+    if any(isinstance(x, bool) for x in items):
+        raise TypeError("a boolean is not a number")
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ValueError("not an integer")
+    return kind(val)
+
+
 def _resolve(sub: str, args: argparse.Namespace) -> dict:
     """defaults < --config JSON < explicit flags, with unknown keys rejected."""
     params = {p.name: p for p in _SUBCOMMANDS[sub].params}
@@ -97,7 +111,7 @@ def _resolve(sub: str, args: argparse.Namespace) -> dict:
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r} for subcommand {sub!r}")
             try:
-                cfg[key] = params[key].kind(val)
+                cfg[key] = _from_config(params[key].kind, val)
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(
                     f"config key {key!r} for subcommand {sub!r} has a bad value {val!r}"
@@ -172,38 +186,7 @@ def _note(msg: str) -> None:
 
 
 def _run_selftest(cfg, out_path, fmt) -> int:
-    n = cfg["n"]
-    grid = CircleGrid(n=n)
-    th = grid.theta
-    rng = np.random.default_rng(0)
-    checks = []
-
-    for name, mode, image in (
-        ("cos(k t) to sin(k t)", np.cos, np.sin),
-        ("sin(k t) to -cos(k t)", np.sin, lambda x: -np.cos(x)),
-    ):
-        worst = 0.0
-        for k in range(1, n // 4 + 1):
-            got = conjugate(BoundaryFunction(grid, mode(k * th))).values
-            worst = max(worst, float(np.max(np.abs(got - image(k * th)))))
-        checks.append((f"conjugate maps {name}, k <= n/4", worst))
-
-    zeros = conjugate(BoundaryFunction(grid, np.ones(n))).values
-    checks.append(("conjugate annihilates constants", float(np.max(np.abs(zeros)))))
-
-    # band-limit the random sample so the double-conjugate identity is
-    # exact on the grid (the Nyquist mode is annihilated by design)
-    spec = np.fft.rfft(rng.standard_normal(n))
-    spec[n // 4 :] = 0.0
-    f = BoundaryFunction(grid, np.fft.irfft(spec, n))
-    twice = conjugate(conjugate(f)).values
-    target = -f.values + float(np.mean(f.values))
-    checks.append(("double conjugate is mean(f) - f", float(np.max(np.abs(twice - target)))))
-
-    checks.append(
-        ("normalized transform vanishes at tau = 1", abs(float(hilbert_t1(f).values[0])))
-    )
-
+    checks = spectral_identity_errors(cfg["n"])
     lines = [
         f"{'ok' if err <= 1e-12 else 'FAIL'} {name}: max err {err:.3e}" for name, err in checks
     ]
@@ -262,11 +245,12 @@ def _run_flatness(cfg, out_path, fmt) -> int:
         if not (s > 0.0):
             raise ValueError(f"s must be positive, got {s}")
 
-        def log_g(theta, s=s):
-            return -(inv_abs_im_phi_logtheta(alpha, -math.log(theta)) ** s)
-
+        # one evaluation per grid point, shared by every order k
+        log_g = {
+            t: -(inv_abs_im_phi_logtheta(alpha, -math.log(t)) ** s) for t in _FLAT_THETAS
+        }
         for k in range(1, _FLAT_K_MAX + 1):
-            log_ratios, flat = flatness_order_check(log_g, k, _FLAT_THETAS)
+            log_ratios, flat = flatness_order_check(log_g.__getitem__, k, _FLAT_THETAS)
             log10s = [r / _LN10 for r in log_ratios]
             rows.extend((s, alpha, k, t, r) for t, r in zip(_FLAT_THETAS, log10s))
             att = log10s[-1] - log10s[0]

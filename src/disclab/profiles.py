@@ -12,6 +12,10 @@ the surface is the undisturbed profile; beyond 2w it sits at the
 constant plateau -eta delta/2; in between the two closed forms are
 blended in the coordinate x = log2(|theta|/w).
 
+Neither surface reads the second coordinate y2, and both say so with
+couples_to_y2 = False (a bump follows its base profile), which lets the
+Bishop solver trace them once per solve.
+
 The blend weight is an exp(-1/x)-type smooth step, not a polynomial
 one.  Every derivative of the weight vanishes at both junctions, so
 one-sided divided differences of any order match across them to
@@ -53,6 +57,8 @@ _EXP_FLOOR = -700.0
 class FlatProfile:
     kind: str
     s: float  # flatness exponent, > 0
+
+    couples_to_y2 = False  # the height depends on z1 only
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_IM, KIND_ABS):
@@ -122,6 +128,11 @@ class BumpDeformation:
     alpha: float  # squeeze parameter of the disc this surface dresses
     eps_window: float = None  # window exponent; defaults to delta
     eta: float = 1.0  # bump scale in [-1, 1]
+
+    @property
+    def couples_to_y2(self) -> bool:
+        # the bump itself ignores y2; only the base profile can read it
+        return getattr(self.base, "couples_to_y2", True)
 
     def __post_init__(self) -> None:
         if not (self.delta > 0.0):

@@ -43,14 +43,13 @@ from disclab import (
     alpha_search,
     attachment_residual,
     cauchy_extend,
-    conjugate,
     f_alpha,
     flatness_order_check,
-    hilbert_t1,
     phi_boundary,
     radial_derivative,
     run_experiment,
     solve_bishop,
+    spectral_identity_errors,
 )
 from disclab.cli import main as cli_main
 
@@ -72,28 +71,12 @@ def _verdict(num: int, problems, elapsed: float, budget: float | None):
 
 def test_criterion_1_spectral_identities():
     t0 = time.perf_counter()
-    n = 1024
-    grid = CircleGrid(n=n)
-    th = grid.theta
-    worst = 0.0
-    for k in range(1, n // 4 + 1):
-        got = conjugate(BoundaryFunction(grid, np.cos(k * th))).values
-        worst = max(worst, float(np.max(np.abs(got - np.sin(k * th)))))
-        got = conjugate(BoundaryFunction(grid, np.sin(k * th))).values
-        worst = max(worst, float(np.max(np.abs(got + np.cos(k * th)))))
-    rng = np.random.default_rng(0)
-    spec = np.fft.rfft(rng.standard_normal(n))
-    spec[n // 4 :] = 0.0
-    f = BoundaryFunction(grid, np.fft.irfft(spec, n))
-    twice = conjugate(conjugate(f)).values
-    target = -f.values + float(np.mean(f.values))
-    worst = max(worst, float(np.max(np.abs(twice - target))))
-    worst = max(worst, abs(float(hilbert_t1(f).values[0])))
+    checks = spectral_identity_errors(1024)
     elapsed = time.perf_counter() - t0
 
-    problems = []
-    if worst > 1e-12:
-        problems.append(f"max identity error {worst:.3e} exceeds 1e-12")
+    problems = [
+        f"{name}: max error {err:.3e} exceeds 1e-12" for name, err in checks if not err <= 1e-12
+    ]
     _verdict(1, problems, elapsed, 1.0)
 
 

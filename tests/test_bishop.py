@@ -141,6 +141,43 @@ def test_deformed_solve_and_eta_continuity(grid14):
     assert step1 / step2 == pytest.approx(10.0, abs=1e-6)
 
 
+class _ForcedCoupling:
+    """Wraps a surface and claims it reads y2, so the solver runs full Picard."""
+
+    couples_to_y2 = True
+
+    def __init__(self, surface):
+        self.surface = surface
+
+    def boundary_trace(self, theta, phi, y2):
+        return self.surface.boundary_trace(theta, phi, y2)
+
+
+@pytest.mark.parametrize("surface", [FlatProfile(kind=KIND_IM, s=1.0), deformed_surface(eta=0.5)])
+def test_single_trace_matches_full_picard(surface):
+    assert surface.couples_to_y2 is False
+    grid = CircleGrid(n=1 << 12)
+    once = solve_bishop(make_problem(grid, surface))
+    full = solve_bishop(make_problem(grid, _ForcedCoupling(surface)))
+    assert np.array_equal(once.u.values, full.u.values)
+    assert np.array_equal(once.v.values, full.v.values)
+    for field in ("iterations", "residual", "contraction", "converged"):
+        assert getattr(once.report, field) == getattr(full.report, field)
+    assert once.report.iterations == 2
+
+
+def test_shared_phi_is_read_only(grid14, params01):
+    def scribble(theta, phi, y2):
+        phi[0] = 1.0
+        return np.zeros(len(theta))
+
+    class Scribbler:
+        boundary_trace = staticmethod(scribble)
+
+    with pytest.raises(ValueError, match="read-only"):
+        solve_bishop(BishopProblem(grid=grid14, disc=params01, surface=Scribbler()))
+
+
 # ---- a surface that actually couples to v
 
 

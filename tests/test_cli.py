@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from disclab import cli
 from disclab.cli import dispatch, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -117,6 +118,21 @@ def test_flatness_table_format(capsys):
     assert rows[("1", "1")] == ["1e-577.7", "yes"]
     assert rows[("1", "8")] == ["1e-164.7", "yes"]
     assert rows[("0.4", "3")] == ["1e+170.3", "no"]
+
+
+def test_flatness_evaluates_each_log_height_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(alpha, t):
+        calls.append(t)
+        return inv_abs_im_phi_logtheta(alpha, t)
+
+    inv_abs_im_phi_logtheta = cli.inv_abs_im_phi_logtheta
+    monkeypatch.setattr(cli, "inv_abs_im_phi_logtheta", counted)
+    rc, _, _ = run_cli(["flatness", "--s", "0.4,1,2"], capsys)
+    assert rc == 0
+    # 60 grid points per s, shared by the 8 orders k
+    assert len(calls) == 3 * 60
 
 
 # ---- fa-scan
@@ -303,7 +319,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "sub, cfg",
-    [("fa-scan", {"s": 1}), ("disc", {"n": [1]})],
+    [
+        ("fa-scan", {"s": 1}),
+        ("disc", {"n": [1]}),
+        # int() and float() would take these; the matching flags are refused
+        ("disc", {"alpha": True}),
+        ("disc", {"n": 300.9}),
+        ("disc", {"n": True}),
+        ("fa-scan", {"s": [True, 1]}),
+        ("fa-scan", {"alphas": [0.2, False]}),
+    ],
 )
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, sub, cfg):
     cfg_file = tmp_path / "cfg.json"

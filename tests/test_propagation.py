@@ -12,6 +12,7 @@ from disclab import (
     alpha_search,
     run_experiment,
 )
+from disclab import bishop, circle, propagation
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +168,41 @@ def test_alpha_search_validates_grid():
 def test_head_solve_failure_propagates():
     with pytest.raises(NotConverged):
         run_experiment(ExperimentConfig(s=1.0, alpha=0.2, max_iter=1))
+
+
+# ---- work done per experiment
+
+
+def test_diagnostics_are_computed_only_when_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("diagnostic computed though nothing read it")
+
+    discs = []
+
+    def recording_solve(problem):
+        discs.append(bishop.solve_bishop(problem))
+        return discs[-1]
+
+    monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    monkeypatch.setattr(bishop, "holder_seminorm", refuse)
+    monkeypatch.setattr(bishop, "holomorphy_defect", refuse)
+    report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
+    monkeypatch.undo()
+    assert len(report.eta_classifications) == 21 and len(discs) == 21
+    disc = discs[0]  # the eta = 1 solve
+    assert disc.report.holder_seminorm == circle.holder_seminorm(disc.v)
+    assert disc.report.holomorphy_defect == circle.holomorphy_defect(disc.u, disc.v)
+
+
+def test_one_phi_evaluation_per_experiment(monkeypatch):
+    calls = []
+
+    def counted(params, theta):
+        calls.append(len(theta))
+        return phi_boundary(params, theta)
+
+    phi_boundary = bishop.phi_boundary
+    monkeypatch.setattr(bishop, "phi_boundary", counted)
+    report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
+    assert len(report.eta_classifications) == 21
+    assert calls == [4096]
