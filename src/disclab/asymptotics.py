@@ -20,7 +20,18 @@ a coarse scan, and reports log_value = M + log(integral) alongside the
 (possibly underflowing) value itself.  For s well above 1, log_value in
 the thousands of negative units is routine; value then rounds to an
 exact 0.0 while log_value still orders results correctly, which is what
-the dichotomy verdicts use.
+the dichotomy verdicts use.  A log_value above the double ceiling
+(about 709.78) gives value = inf with a finite log_value and rel_err.
+
+Adaptive Simpson bisects one level at a time, and all new nodes of a
+level (up to 2 * _MAX_OPEN) go through one vector call of
+inv_abs_im_phi_logtheta, whose cost
+at a few nodes per call is almost all call overhead.  The power
+E = inv**s and the exp after it still run per node on Python floats
+(libm pow), because np.power can round differently in the last place
+and would move the integrand's digits.  The panels, and the order in
+which their sums are added, are those of a depth-first bisection, so
+batching the nodes changes no digit of any result.
 """
 
 from __future__ import annotations
@@ -52,6 +63,10 @@ _SCAN_STEP = 0.25
 # its crest; exp(-40) is invisible at the tolerances accepted here
 _CREST_DROP = 40.0
 
+# open Simpson panels bisected in one call of the integrand; a cell of
+# the reference grid opens at most 872 in one level
+_MAX_OPEN = 4096
+
 
 @dataclasses.dataclass(frozen=True)
 class FAlphaSpec:
@@ -70,9 +85,9 @@ class FAlphaSpec:
             )
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.t_max_cap < self.delta / self.alpha:
+        if not (self.t_max_cap > self.delta / self.alpha):
             raise ValueError(
-                f"t_max_cap {self.t_max_cap} is below the lower limit "
+                f"t_max_cap {self.t_max_cap} is not above the lower limit "
                 f"delta/alpha = {self.delta / self.alpha:.3f}"
             )
         if not (0.0 < self.rel_tol < 1.0):
@@ -94,43 +109,91 @@ def _log_integrand(spec: FAlphaSpec, t):
     return t - inv ** spec.s
 
 
+def _simpson(x0, f0, x1, f1, x2, f2):
+    return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+
 def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int = 40):
-    """Adaptive Simpson with Richardson correction; returns (value, err)."""
+    """Adaptive Simpson with Richardson correction; returns (value, err).
 
-    def simp(x0, f0, x1, f1, x2, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
+    The panels are those of a depth-first bisection that refines the
+    right half first, and the accepted panels are summed in that order
+    (descending left end), so the result does not depend on how the
+    nodes are batched.  g takes an array of nodes: it sees the three
+    starting nodes in one call, then the new midpoints of up to
+    _MAX_OPEN open panels of one level per call.  A level wider than
+    that is split and its right part finished first, so memory stays
+    bounded when a wide region keeps failing, and the depth guard names
+    the panel that the depth-first bisection would have reached first.
+    """
+    if not b > a:
+        raise ValueError(f"Simpson needs a < b, got [{a}, {b}]")
     span = b - a
-    m = 0.5 * (a + b)
-    fa, fm, fb = g(a), g(m), g(b)
-    stack = [(a, fa, m, fm, b, fb, simp(a, fa, m, fm, b, fb), 0)]
+    nodes = np.array([a, 0.5 * (a + b), b])
+    f0, fm, f2 = g(nodes)
+    # a batch holds open panels of one depth, ascending in t, as the rows
+    # x0, xm, x2, f0, fm, f2 and the panel's Simpson estimate; the stack
+    # keeps batches left to right, so its top holds the rightmost panels
+    whole = _simpson(a, f0, nodes[1], fm, b, f2)
+    stack = [(np.array([[a], [nodes[1]], [b], [f0], [fm], [f2], [whole]]), 0)]
     total = 0.0
     err = 0.0
+    pending = []  # (left ends, sums, errors) of accepted panels not yet added
     while stack:
-        x0, f0, xm, fm_, x2, f2, whole, depth = stack.pop()
+        panels, depth = stack.pop()
+        if panels.shape[1] > _MAX_OPEN:
+            half = panels.shape[1] // 2
+            stack += [(panels[:, :half], depth), (panels[:, half:], depth)]
+            continue
+        x0, xm, x2, f0, fm, f2, whole = panels
         if depth > max_depth:
+            # name the rightmost panel: depth first would have reached it first
             raise QuadratureNonConvergent(
                 f"Simpson bisection exceeded depth {max_depth} on "
-                f"[{x0:.6g}, {x2:.6g}]"
+                f"[{float(x0[-1]):.6g}, {float(x2[-1]):.6g}]"
             )
         lm = 0.5 * (x0 + xm)
         rm = 0.5 * (xm + x2)
-        flm = g(lm)
-        frm = g(rm)
-        left = simp(x0, f0, lm, flm, xm, fm_)
-        right = simp(xm, fm_, rm, frm, x2, f2)
+        f = g(np.concatenate((lm, rm)))
+        flm, frm = f[: lm.size], f[lm.size :]
+        left = _simpson(x0, f0, lm, flm, xm, fm)
+        right = _simpson(xm, fm, rm, frm, x2, f2)
         d = left + right - whole
-        if abs(d) <= 15.0 * tol * max((x2 - x0) / span, 1e-12):
-            total += left + right + d / 15.0
-            err += abs(d) / 15.0
-        else:
-            stack.append((x0, f0, lm, flm, xm, fm_, left, depth + 1))
-            stack.append((xm, fm_, rm, frm, x2, f2, right, depth + 1))
+        ok = np.abs(d) <= 15.0 * tol * np.maximum((x2 - x0) / span, 1e-12)
+        pending.append((x0[ok], (left + right + d / 15.0)[ok], (np.abs(d) / 15.0)[ok]))
+        # each rejected panel is replaced by its left and right half
+        halves = np.array(
+            (
+                (x0, lm, xm, f0, flm, fm, left),
+                (xm, rm, x2, fm, frm, f2, right),
+            )
+        )[:, :, ~ok]
+        if halves.size:
+            stack.append((halves.transpose(1, 2, 0).reshape(7, -1), depth + 1))
+        # every panel accepted from now on lies left of the open panels
+        # on the stack, so the accepted ones at or right of them are final
+        frontier = stack[-1][0][2, -1] if stack else -math.inf
+        ends, sums, errs = (np.concatenate(col) for col in zip(*pending))
+        now = ends >= frontier
+        order = np.argsort(-ends[now], kind="stable")
+        for panel_sum, panel_err in zip(
+            sums[now][order].tolist(), errs[now][order].tolist()
+        ):
+            total += panel_sum
+            err += panel_err
+        pending = [(ends[~now], sums[~now], errs[~now])]
     return total, err
 
 
 def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
-    """Evaluate F_alpha by crest-scaled adaptive Simpson quadrature."""
+    """Evaluate F_alpha by crest-scaled adaptive Simpson quadrature.
+
+    The nodes of each Simpson level go through one vector call of
+    inv_abs_im_phi_logtheta; pow and exp run per node on Python floats,
+    because np.power can round differently in the last place.  A value
+    beyond the largest double is inf, as is abs_err; log_value and rel_err
+    stay finite.
+    """
     t0 = spec.delta / spec.alpha
     cap = spec.t_max_cap
 
@@ -150,9 +213,10 @@ def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
     if t_end <= t0:
         t_end = min(t0 + _SCAN_STEP, cap)
 
-    def g(t: float) -> float:
-        e = float(_log_integrand(spec, t)) - crest
-        return math.exp(e) if e > _LOG_TINY else 0.0
+    def g(t: np.ndarray) -> np.ndarray:
+        inv = inv_abs_im_phi_logtheta(spec.alpha, t)
+        es = [ti - vi ** spec.s - crest for ti, vi in zip(t.tolist(), inv.tolist())]
+        return np.array([math.exp(e) if e > _LOG_TINY else 0.0 for e in es])
 
     # rough mass in crest units, to set the absolute Simpson budget
     sel = (ts >= t0) & (ts <= t_end)
@@ -168,9 +232,14 @@ def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
         err = max(err, integral)
 
     log_value = crest + math.log(integral)
-    value = math.exp(log_value) if log_value > _LOG_TINY else 0.0
     rel_err = err / integral
-    abs_err = value * rel_err
+    try:
+        value = math.exp(log_value) if log_value > _LOG_TINY else 0.0
+    except OverflowError:
+        # F_alpha beyond the largest double; log_value still orders it
+        value = abs_err = math.inf
+    else:
+        abs_err = value * rel_err
     truncated = bool(
         hit_cap and float(_log_integrand(spec, cap)) > math.log(spec.rel_tol) + log_value
     )

@@ -1,13 +1,23 @@
 """The squeezing integral: log-domain quadrature, dichotomy scan, onset tracking."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab import FAlphaSpec, dichotomy_scan, f_alpha, positive_window
+from disclab import (
+    FAlphaSpec,
+    QuadratureNonConvergent,
+    dichotomy_scan,
+    f_alpha,
+    positive_window,
+)
+from disclab import asymptotics
+from disclab.asymptotics import _MAX_OPEN, _adaptive_simpson
 
 
 # values pinned by an independent mpmath tanh-sinh run at 40 digits
@@ -69,6 +79,166 @@ def test_deep_cells_report_truncation_honestly():
     deep = f_alpha(spec(0.75, 0.0125))
     assert deep.truncated  # the crest rides past the default cap
     assert deep.log_value == pytest.approx(101.572296, abs=1e-4)
+
+
+def test_value_beyond_the_largest_double_is_infinite():
+    # log F = 2001.3 here; exp() of it overflows, log_value still orders it
+    res = f_alpha(spec(0.6, 0.05, t_max_cap=1e4))
+    assert res.value == math.inf
+    assert res.abs_err == math.inf
+    assert math.isfinite(res.log_value)
+    assert res.log_value > math.log(sys.float_info.max)
+    assert 0.0 < res.rel_err < 1e-3
+
+
+def test_simpson_depth_guard_names_the_panel():
+    with pytest.raises(
+        QuadratureNonConvergent,
+        match=re.escape("Simpson bisection exceeded depth 40 on [100000, 100000]"),
+    ):
+        f_alpha(spec(0.55, 0.025, t_max_cap=1e5))
+
+
+# ---- level-wise Simpson
+
+
+def counted(f):
+    """Vector integrand that records the size of each call."""
+    sizes = []
+
+    def g(t):
+        sizes.append(len(t))
+        return np.array([f(x) for x in t.tolist()])
+
+    return g, sizes
+
+
+def depth_first_simpson(f, a, b, tol, max_depth=40):
+    """The scalar, right-half-first stack bisection, as a reference.
+
+    Returns (value, err, number of nodes, deepest level refined).
+    """
+
+    def simp(x0, f0, x1, f1, x2, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    span = b - a
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    stack = [(a, fa, m, fm, b, fb, simp(a, fa, m, fm, b, fb), 0)]
+    total = err = 0.0
+    nodes, deepest = 3, 0
+    while stack:
+        x0, f0, xm, fm_, x2, f2, whole, depth = stack.pop()
+        if depth > max_depth:
+            raise QuadratureNonConvergent(
+                f"Simpson bisection exceeded depth {max_depth} on [{x0:.6g}, {x2:.6g}]"
+            )
+        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        flm, frm = f(lm), f(rm)
+        nodes, deepest = nodes + 2, max(deepest, depth)
+        left = simp(x0, f0, lm, flm, xm, fm_)
+        right = simp(xm, fm_, rm, frm, x2, f2)
+        d = left + right - whole
+        if abs(d) <= 15.0 * tol * max((x2 - x0) / span, 1e-12):
+            total += left + right + d / 15.0
+            err += abs(d) / 15.0
+        else:
+            stack.append((x0, f0, lm, flm, xm, fm_, left, depth + 1))
+            stack.append((xm, fm_, rm, frm, x2, f2, right, depth + 1))
+    return total, err, nodes, deepest
+
+
+def test_simpson_integrates_a_cubic_exactly():
+    g, sizes = counted(lambda t: 2.0 * t**3 - t**2 + 3.0)
+    value, err = _adaptive_simpson(g, -1.0, 2.0, 1e-12)
+    assert value == pytest.approx(13.5, rel=1e-15)
+    assert err < 1e-14
+    assert sizes == [3, 2]  # the root panel is accepted on its first level
+
+
+@pytest.mark.parametrize(
+    "f, a, b, tol",
+    [
+        (lambda t: math.exp(-50.0 * (t - 0.3) ** 2), 0.0, 1.0, 1e-10),
+        (lambda t: abs(t - 0.7) ** 1.5, 0.0, 2.0, 1e-9),
+        (lambda t: math.sin(20.0 * t) * math.exp(t), -1.0, 2.5, 1e-8),
+    ],
+)
+def test_simpson_levels_match_the_depth_first_bisection(f, a, b, tol):
+    g, sizes = counted(f)
+    value, err = _adaptive_simpson(g, a, b, tol)
+    ref_value, ref_err, ref_nodes, ref_deepest = depth_first_simpson(f, a, b, tol)
+    # same panels, summed in the same order: equal to the last bit
+    assert (value, err) == (ref_value, ref_err)
+    assert sum(sizes) == ref_nodes
+    # one call for the three starting nodes, then one per level
+    assert sizes[0] == 3
+    assert len(sizes) == 1 + ref_deepest + 1
+    assert all(size % 2 == 0 for size in sizes[1:])
+
+
+def test_simpson_depth_guard_matches_the_depth_first_bisection():
+    # both kinks go too deep; the depth-first bisection reaches the right one first
+    def f(t):
+        return abs(t - 0.3) ** 0.5 + abs(t - 0.8) ** 0.5
+
+    with pytest.raises(QuadratureNonConvergent) as ref:
+        depth_first_simpson(f, 0.0, 1.0, 1e-6, max_depth=10)
+    g, _ = counted(f)
+    with pytest.raises(QuadratureNonConvergent) as new:
+        _adaptive_simpson(g, 0.0, 1.0, 1e-6, max_depth=10)
+    assert str(new.value) == str(ref.value)
+    assert str(new.value).endswith("on [0.800293, 0.800781]")
+
+
+def test_simpson_wide_failure_stays_bounded():
+    # NaN rejects every panel over three quarters of the interval; the
+    # depth-first bisection runs down the right edge and fails at once,
+    # and the batched one must neither double its levels to depth 40
+    # nor name another panel
+    def f(t):
+        return math.nan if t > 0.25 else t
+
+    with pytest.raises(QuadratureNonConvergent) as ref:
+        depth_first_simpson(f, 0.0, 1.0, 1e-8)
+    g, sizes = counted(f)
+    with pytest.raises(QuadratureNonConvergent) as new:
+        _adaptive_simpson(g, 0.0, 1.0, 1e-8)
+    assert str(new.value) == str(ref.value)
+    assert max(sizes) <= 2 * _MAX_OPEN
+    assert sum(sizes) < 50 * 2 * _MAX_OPEN
+
+
+def test_simpson_levels_split_like_the_depth_first_bisection(monkeypatch):
+    # with room for one open panel per call, every level is split
+    monkeypatch.setattr(asymptotics, "_MAX_OPEN", 1)
+
+    def f(t):
+        return abs(t - 0.7) ** 1.5 + math.exp(-50.0 * (t - 0.3) ** 2)
+
+    g, sizes = counted(f)
+    value, err = _adaptive_simpson(g, 0.0, 2.0, 1e-9)
+    assert max(sizes[1:]) == 2
+    assert (value, err) == depth_first_simpson(f, 0.0, 2.0, 1e-9)[:2]
+
+
+def test_tiny_rel_tol_fails_at_the_depth_guard():
+    # roundoff rejects every panel near the crest; the depth-first
+    # bisection names this panel
+    with pytest.raises(
+        QuadratureNonConvergent,
+        match=re.escape("Simpson bisection exceeded depth 40 on [9.74306, 9.74306]"),
+    ):
+        f_alpha(spec(1.0, 0.2, rel_tol=1e-20))
+
+
+def test_empty_interval_is_refused():
+    # delta/alpha = 120/0.2 equals the default cap, leaving nothing to integrate
+    with pytest.raises(ValueError, match="not above the lower limit"):
+        spec(1.0, 0.2, delta=120.0)
+    with pytest.raises(ValueError, match="a < b"):
+        _adaptive_simpson(counted(math.exp)[0], 1.0, 1.0, 1e-8)
 
 
 def test_spec_validation_messages():

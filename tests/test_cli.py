@@ -192,6 +192,75 @@ def test_fa_scan_table_format(capsys):
     ]
 
 
+# the CSV bytes of this scan, digit for digit; a change to the quadrature
+# that moves any trailing digit of any cell shows up here
+FA_SCAN_GOLDEN_CSV = """\
+s,alpha,f_alpha,abs_err,truncated
+0.6,0.2,4692349353135.344,16194.366198992888,false
+0.6,0.1,4.747978425739268e+76,2.926571720376468e+67,true
+0.6,0.05,6.075577056440745e+135,1.3441756854236968e+126,true
+0.6,0.025,6.652472433320952e+173,1.5927562642227083e+164,true
+0.6,0.0125,2.927459066041266e+197,8.349365585667582e+187,true
+0.75,0.2,0.03643654458165234,7.959747277669702e-11,false
+0.75,0.1,0.058618955995496026,1.2960005811680738e-10,false
+0.75,0.05,2.974975551563458,5.390081103160319e-09,false
+0.75,0.025,2401016942.605283,9.215241141163412,false
+0.75,0.0125,1.2950528646389868e+44,2.1649265160387277e+35,true
+1.0,0.2,6.959832152071541e-08,4.714479293294541e-16,false
+1.0,0.1,1.834815460075451e-13,7.677003640256756e-22,false
+1.0,0.05,8.278842178185646e-25,2.0166360658798224e-33,false
+1.0,0.025,1.3931885150749028e-47,3.4108176636026147e-56,false
+1.0,0.0125,3.583067647324479e-93,6.9975385825595075e-102,false
+1.5,0.2,1.2553355921522868e-40,5.216747103038019e-49,false
+1.5,0.1,9.123750345873248e-102,5.1572278884015953e-110,false
+1.5,0.05,4.841742987676931e-274,2.1816114154358446e-282,false
+1.5,0.025,0.0,0.0,false
+1.5,0.0125,0.0,0.0,false
+2.0,0.2,7.2532803735967255e-186,1.1758275089105564e-193,false
+2.0,0.1,0.0,0.0,false
+2.0,0.05,0.0,0.0,false
+2.0,0.025,0.0,0.0,false
+2.0,0.0125,0.0,0.0,false
+"""
+
+
+def test_fa_scan_csv_bytes_are_pinned(capsys):
+    rc, out, err = run_cli(
+        [
+            "fa-scan",
+            "--s",
+            "0.6,0.75,1.0,1.5,2.0",
+            "--alphas",
+            "0.2,0.1,0.05,0.025,0.0125",
+            "--delta",
+            "1.0",
+        ],
+        capsys,
+    )
+    assert rc == 0
+    assert out == FA_SCAN_GOLDEN_CSV
+    assert err.splitlines() == [
+        "verdict s=0.6: diverging",
+        "verdict s=0.75: diverging",
+        "verdict s=1.0: vanishing",
+        "verdict s=1.5: vanishing",
+        "verdict s=2.0: vanishing",
+    ]
+
+
+def test_fa_scan_with_nothing_to_integrate_is_a_validation_error(capsys):
+    # delta/alpha = 120/0.2 is the default cap: the first cell is empty
+    rc, out, err = run_cli(
+        ["fa-scan", "--delta", "120", "--alphas", "0.2,0.1,0.05"], capsys
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "validation error: t_max_cap 600.0 is not above the lower limit "
+        "delta/alpha = 600.000\n"
+    )
+
+
 # ---- attach
 
 
