@@ -28,6 +28,7 @@ from .bishop import (
     attachment_residual,
     cauchy_extend,
     contraction_estimate,
+    phi_on_grid,
     solve_bishop,
 )
 from .circle import (
@@ -120,6 +121,7 @@ __all__ = [
     "BishopProblem",
     "SolveReport",
     "AttachedDisc",
+    "phi_on_grid",
     "solve_bishop",
     "contraction_estimate",
     "attachment_residual",

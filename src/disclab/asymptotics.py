@@ -79,12 +79,13 @@ class FAlphaSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.s > 0.5):
+        if not (0.5 < self.s < math.inf):
             raise ValueError(
-                f"s must exceed 1/2 (the composed profile is not flat below), got {self.s}"
+                f"s must be finite and exceed 1/2 (the composed profile is not flat below), "
+                f"got {self.s}"
             )
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (0.0 < self.delta < math.inf):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not (self.t_max_cap > self.delta / self.alpha):
             raise ValueError(
                 f"t_max_cap {self.t_max_cap} is not above the lower limit "

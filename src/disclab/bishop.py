@@ -25,10 +25,15 @@ step, which recomputing would reproduce bit for bit (so such a solve
 still reports 2 iterations and a final increment of 0).  A surface
 without the attribute is taken to couple.
 
-Only work whose result is read is done: phi on the grid is computed once
-per (disc, grid) pair and shared read-only by consecutive solves, and
-the report's holomorphy defect and Hoelder seminorm are computed on
-first read.
+Only work whose result is read is done.  Solves that share a grid can
+share phi: a problem may carry phi_on_grid(disc, grid), read-only, and,
+for a surface that ignores v, its trace over that phi; the solver
+computes whatever the problem leaves unset and memoizes nothing itself,
+so shared arrays live exactly as long as the problems holding them.
+The alpha match and the window resolution are still checked for every
+problem, in the log domain, where an underflowed window is still
+"unresolved".  The report's holomorphy defect and Hoelder seminorm are
+computed on first read.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "BishopProblem",
     "SolveReport",
     "AttachedDisc",
+    "phi_on_grid",
     "solve_bishop",
     "contraction_estimate",
     "attachment_residual",
@@ -68,6 +74,9 @@ class BishopProblem:
     surface: object  # FlatProfile, BumpDeformation, or any boundary_trace provider
     tol: float = 1e-12  # sup-norm stopping tolerance on iteration increments
     max_iter: int = 64
+    # work a caller shares between solves; the solve computes what is left unset
+    phi: BoundaryFunction | None = dataclasses.field(default=None, repr=False)  # phi_on_grid
+    trace: np.ndarray | None = dataclasses.field(default=None, repr=False)  # height over phi
 
     def __post_init__(self) -> None:
         if not (self.tol > 0.0):
@@ -76,18 +85,29 @@ class BishopProblem:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not hasattr(self.surface, "boundary_trace"):
             raise ValueError("surface must provide a boundary_trace method")
+        if self.phi is not None and self.phi.grid is not self.grid:
+            raise ValueError("phi must live on the problem's grid")
+        if self.trace is not None and (
+            self.phi is None or getattr(self.surface, "couples_to_y2", True)
+        ):
+            raise ValueError("a trace is given only with phi, for a surface that ignores y2")
         if isinstance(self.surface, BumpDeformation):
             if abs(self.surface.alpha - self.disc.alpha) > 0.0:
                 raise ValueError(
                     f"surface was built for alpha={self.surface.alpha}, "
                     f"disc has alpha={self.disc.alpha}"
                 )
-            w = self.surface.window()
-            if self.grid.spacing > w / 16.0:
-                needed = 1 << math.ceil(math.log2(32.0 * math.pi / w))
+            # spacing <= w/16 means n >= 32 pi / w; decided in log2, as w can underflow
+            log_w = self.surface.log_window()
+            log2_needed = math.log2(32.0 * math.pi) - log_w / math.log(2.0)
+            if math.log2(self.grid.n) < log2_needed:
+                w = math.exp(log_w)
+                width = f"{w:.6e}" if w > 0.0 else f"exp({log_w:.6g})"
+                k = math.ceil(log2_needed) if log2_needed < math.inf else math.inf
+                needed = 1 << k if k < 64 else f"2^{k}"
                 raise GridUnresolved(
                     f"grid of {self.grid.n} nodes cannot resolve the "
-                    f"deformation window {w:.6e}; need n >= {needed}"
+                    f"deformation window {width}; need n >= {needed}"
                 )
 
 
@@ -122,29 +142,24 @@ class AttachedDisc:
     problem: BishopProblem
 
 
-@functools.lru_cache(maxsize=1)
-def _phi_on_grid(disc: DiscFamilyParams, grid: CircleGrid) -> np.ndarray:
-    """phi on the grid's nodes, read-only; the last (disc, grid) pair is kept.
-
-    CircleGrid compares by identity, so the solves of one experiment,
-    which share a grid, share one evaluation.
-    """
-    phi = phi_boundary(disc, grid.theta)
-    phi.flags.writeable = False
-    return phi
+def phi_on_grid(disc: DiscFamilyParams, grid: CircleGrid) -> BoundaryFunction:
+    """The first component phi on the grid's nodes, read-only."""
+    return BoundaryFunction(grid, phi_boundary(disc, grid.theta))
 
 
 def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     """Picard iteration for v = T_1(h(phi, v)), then u = -T_1 v.
 
     v0 may be a BoundaryFunction or array to start from; default is 0.
-    Raises NotConverged when max_iter runs out or the increments grow
-    for five consecutive steps.
+    The problem's phi and trace are used when set.  Raises NotConverged
+    when max_iter runs out or the increments grow for five consecutive
+    steps.
     """
     grid = p.grid
     theta = grid.theta
-    phi_vals = _phi_on_grid(p.disc, grid)
     couples = getattr(p.surface, "couples_to_y2", True)
+    phi = p.phi if p.phi is not None else phi_on_grid(p.disc, grid)
+    phi_vals = phi.values
     if v0 is None:
         v = np.zeros(grid.n)
     else:
@@ -158,8 +173,10 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     v_next = None
     for iterations in range(1, p.max_iter + 1):
         if couples or v_next is None:
-            trace = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
-            v_next = hilbert_t1(BoundaryFunction(grid, trace)).values
+            height = p.trace
+            if height is None:
+                height = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
+            v_next = hilbert_t1(BoundaryFunction(grid, height)).values
         inc = float(np.max(np.abs(v_next - v)))
         increments.append(inc)
         v = v_next
@@ -194,9 +211,7 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
         u=ub,
         v=vb,
     )
-    return AttachedDisc(
-        phi=BoundaryFunction(grid, phi_vals), u=ub, v=vb, report=report, problem=p
-    )
+    return AttachedDisc(phi=phi, u=ub, v=vb, report=report, problem=p)
 
 
 def contraction_estimate(p: BishopProblem, directions: int = 8, seed: int = 0) -> float:

@@ -20,6 +20,11 @@ Grids of any power-of-two size from 8 up are supported (2^22 works if
 you have the memory).  Transforms and both radial-derivative methods are
 O(n log n); poisson_extend and evaluate_trig are dense in angles times
 modes.
+
+A BoundaryFunction computes its Fourier coefficients once, on first
+read, and shares them read-only with every coefficient reader; a
+CircleGrid keeps the cos/sin/r^k tables of the last ray poisson_radial
+walked on it.  Both are freed with their owner, never kept by the module.
 """
 
 from __future__ import annotations
@@ -84,6 +89,22 @@ class CircleGrid:
     def spacing(self) -> float:
         return 2.0 * np.pi / self.n
 
+    def _ray_tables(self, theta: float, radii: tuple) -> tuple:
+        """cos(k theta), sin(k theta) and the rows r^k, k = 1..n/2, for poisson_radial.
+
+        The grid keeps the last set it built, so a run that walks one ray
+        for many functions builds it once, and it is freed with the grid.
+        """
+        key = (theta, radii)
+        if self.__dict__.get("_ray", (None,))[0] != key:
+            self.__dict__.pop("_ray", None)  # free the last set before building this one
+            k = np.arange(1, self.n // 2 + 1, dtype=float)
+            tables = (np.cos(k * theta), np.sin(k * theta), np.power.outer(radii, k))
+            for table in tables:
+                table.flags.writeable = False
+            self.__dict__["_ray"] = (key, tables)
+        return self.__dict__["_ray"][1]
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BoundaryFunction:
@@ -116,6 +137,27 @@ class BoundaryFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @functools.cached_property
+    def coeffs(self) -> "FourierCoeffs":
+        """Read-only coefficients of the interpolant, from one rfft on first read.
+
+        Every coefficient reader (fourier_coeffs, both radial_derivative
+        methods, poisson_radial) shares them, and they are freed with
+        the function.
+        """
+        _require_real(self, "fourier_coeffs")
+        n = self.grid.n
+        spec = np.fft.rfft(self.values)
+        a = 2.0 * spec.real / n
+        b = -2.0 * spec.imag / n
+        a[0] = spec[0].real / n
+        a[-1] = spec[-1].real / n
+        b[0] = 0.0
+        b[-1] = 0.0
+        a.flags.writeable = False
+        b.flags.writeable = False
+        return FourierCoeffs(a, b)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -162,17 +204,8 @@ def hilbert_t1(f: BoundaryFunction) -> BoundaryFunction:
 
 
 def fourier_coeffs(f: BoundaryFunction) -> FourierCoeffs:
-    """Coefficients of the trigonometric interpolant of the samples."""
-    _require_real(f, "fourier_coeffs")
-    n = f.grid.n
-    spec = np.fft.rfft(f.values)
-    a = 2.0 * spec.real / n
-    b = -2.0 * spec.imag / n
-    a[0] = spec[0].real / n
-    a[-1] = spec[-1].real / n
-    b[0] = 0.0
-    b[-1] = 0.0
-    return FourierCoeffs(a, b)
+    """Coefficients of the trigonometric interpolant of the samples (read-only, shared)."""
+    return f.coeffs
 
 
 def reconstruct(coeffs: FourierCoeffs, grid: CircleGrid) -> BoundaryFunction:
@@ -208,12 +241,11 @@ def poisson_extend(f: BoundaryFunction, r: float, theta):
 def poisson_radial(f: BoundaryFunction, radii, theta: float = 0.0) -> np.ndarray:
     """Harmonic extension along the ray at a fixed angle, vector over radii."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if np.any((radii < 0.0) | (radii >= 1.0)):
+    if not np.all((radii >= 0.0) & (radii < 1.0)):
         raise ValueError("all radii must lie in [0, 1)")
     c = fourier_coeffs(f)
-    k = np.arange(1, len(c.a), dtype=float)
-    profile = c.a[1:] * np.cos(k * theta) + c.b[1:] * np.sin(k * theta)
-    powers = np.power.outer(radii, k)
+    cos_k, sin_k, powers = f.grid._ray_tables(float(theta), tuple(radii.tolist()))
+    profile = c.a[1:] * cos_k + c.b[1:] * sin_k
     return c.a[0] + powers @ profile
 
 

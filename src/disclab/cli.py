@@ -242,8 +242,7 @@ def _run_flatness(cfg, out_path, fmt) -> int:
         f"{'attenuation':>12} {'flat to order k':>15}",
     ]
     for s in cfg["s"]:
-        if not (s > 0.0):
-            raise ValueError(f"s must be positive, got {s}")
+        FlatProfile(kind=KIND_IM, s=s)  # refuses an s that is not positive and finite
 
         # one evaluation per grid point, shared by every order k
         log_g = {

@@ -16,6 +16,15 @@ Neither surface reads the second coordinate y2, and both say so with
 couples_to_y2 = False (a bump follows its base profile), which lets the
 Bishop solver trace them once per solve.
 
+Only the plateau depends on eta.  A bump's trace is therefore split
+into its eta-free part, trace_parts() = (blend weight, base profile
+values), and the affine combine() with the plateau; boundary_trace is
+combine(trace_parts), so the formula lives in one place, and a sweep
+over eta computes the parts once and combines them per eta.
+
+Every parameter must be finite: an infinite s, delta or eps_window
+would otherwise pass the positivity checks and yield -inf or NaN heights.
+
 The blend weight is an exp(-1/x)-type smooth step, not a polynomial
 one.  Every derivative of the weight vanishes at both junctions, so
 one-sided divided differences of any order match across them to
@@ -53,6 +62,11 @@ KIND_ABS = "exp_abs_z"  # h = exp(-1/|z1|^s)
 _EXP_FLOOR = -700.0
 
 
+def _require_positive_finite(name: str, value) -> None:
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class FlatProfile:
     kind: str
@@ -63,8 +77,7 @@ class FlatProfile:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_IM, KIND_ABS):
             raise ValueError(f"kind must be {KIND_IM!r} or {KIND_ABS!r}, got {self.kind!r}")
-        if not (self.s > 0.0):
-            raise ValueError(f"s must be positive, got {self.s}")
+        _require_positive_finite("s", self.s)
 
     def boundary_trace(self, theta, phi, y2):
         """Surface height over the disc boundary; y2 is accepted for
@@ -135,32 +148,41 @@ class BumpDeformation:
         return getattr(self.base, "couples_to_y2", True)
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _require_positive_finite("delta", self.delta)
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.eps_window is None:
             object.__setattr__(self, "eps_window", float(self.delta))
-        if not (self.eps_window > 0.0):
-            raise ValueError(f"eps_window must be positive, got {self.eps_window}")
+        _require_positive_finite("eps_window", self.eps_window)
         if not (-1.0 <= self.eta <= 1.0):
             raise ValueError(f"eta must lie in [-1, 1], got {self.eta}")
 
+    def log_window(self) -> float:
+        """log of window(); finite where the window itself underflows to 0."""
+        return -self.eps_window / (2.0 * self.alpha)
+
     def window(self) -> float:
         """Half-width of the undisturbed window: exp(-eps_window/(2 alpha))."""
-        return math.exp(-self.eps_window / (2.0 * self.alpha))
+        return math.exp(self.log_window())
 
     def plateau(self) -> float:
         return -0.5 * self.eta * self.delta
 
-    def boundary_trace(self, theta, phi, y2):
+    def trace_parts(self, theta, phi, y2) -> tuple:
+        """The eta-free part of boundary_trace: (blend weight, base profile values)."""
         th = np.asarray(theta, dtype=float)
         # fold to a distance from theta = 0 on the circle, in [0, pi]
         dist = np.abs(np.mod(th + np.pi, 2.0 * np.pi) - np.pi)
         w = self.window()
         weight = _blend_weight(np.log2(np.maximum(dist, 1e-300) / w))
-        base_vals = self.base.boundary_trace(theta, phi, y2)
+        return weight, self.base.boundary_trace(theta, phi, y2)
+
+    def combine(self, weight, base_vals):
+        """The height at this eta from trace_parts' weight and base values."""
         return (1.0 - weight) * base_vals + weight * self.plateau()
+
+    def boundary_trace(self, theta, phi, y2):
+        return self.combine(*self.trace_parts(theta, phi, y2))
 
 
 def tilde_h_eval(d: BumpDeformation, theta, y2=0.0):

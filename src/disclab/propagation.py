@@ -16,6 +16,15 @@ The sign question "does the disc point down" is answered by the primary
 (quadrature) radial derivative being positive: u is harmonic with
 u(0) = 0, so a positive inward-normal derivative at the boundary
 contact pushes the interior below the surface along the x2 axis.
+
+The solves of one run differ only in the plateau height -eta delta/2,
+so everything else is computed once per run and shared: phi on the
+grid, the bump's blend weight and base-profile values (which also serve
+as the classification's undeformed heights), and |phi - center|^2.
+Each u's Fourier coefficients are computed once and read by both radial
+derivatives and the ray evaluation, and the grid keeps the ray tables
+of its last radii tuple.  All of it belongs to the run and is freed
+when it returns.
 """
 
 from __future__ import annotations
@@ -25,11 +34,12 @@ import math
 
 import numpy as np
 
-from .bishop import AttachedDisc, BishopProblem, attachment_residual, solve_bishop
+from .bishop import AttachedDisc, BishopProblem, phi_on_grid, solve_bishop
 from .circle import CircleGrid, poisson_radial, radial_derivative
 from .disc_family import SQUEEZE_LIMIT, DiscFamilyParams
 from .exceptions import NoAdmissibleAlpha, NotConverged
-from .profiles import KIND_IM, BumpDeformation, FlatProfile, profile_eval
+from .profiles import KIND_IM, BumpDeformation, FlatProfile
+from .profiles import profile_eval  # noqa: F401  (perfbench/tracing.py binds this name)
 
 __all__ = [
     "ExperimentConfig",
@@ -61,12 +71,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.s > 0.0):
-            raise ValueError(f"s must be positive, got {self.s}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.eps_window is not None and not (self.eps_window > 0.0):
-            raise ValueError(f"eps_window must be positive, got {self.eps_window}")
+        for name in ("s", "delta", "eps_window"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.eps_shift < 0.0:
             raise ValueError(f"eps_shift must be nonnegative, got {self.eps_shift}")
         etas = tuple(float(e) for e in self.eta_grid)
@@ -107,76 +115,110 @@ class PropagationReport:
     config: ExperimentConfig
 
 
-def _solve_at_eta(cfg: ExperimentConfig, grid: CircleGrid, eta: float) -> AttachedDisc:
-    params = DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift)
-    base = FlatProfile(kind=KIND_IM, s=cfg.s)
-    surface = BumpDeformation(
-        base=base,
-        delta=cfg.delta,
-        alpha=cfg.alpha,
-        eps_window=cfg.window_exponent(),
-        eta=eta,
-    )
-    problem = BishopProblem(
-        grid=grid,
-        disc=params,
-        surface=surface,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-    )
-    return solve_bishop(problem)
+class _Sweep:
+    """The eta-free work of one experiment, shared by its solves and cells.
 
-
-def _classify(cfg: ExperimentConfig, disc: AttachedDisc) -> tuple:
-    """Count boundary nodes on the undeformed surface vs inside the ball.
-
-    The deformation vanishes outside its window, so nodes there still
-    satisfy the undeformed height relation at the solver tolerance; the
-    windowed nodes must instead fall inside the delta-ball around the
-    squeeze limit point.  Classifying against the deformed surface would
-    be vacuous (every node attaches to it by construction), so the
-    residual here is taken against the base profile.
+    phi, the bump's blend weight and base-profile values, and
+    |phi - center|^2 are computed once; a solve only combines the weight
+    and base values with its own plateau.  All of it is freed when the
+    experiment returns.
     """
-    base = FlatProfile(kind=KIND_IM, s=cfg.s)
-    phi = disc.phi.values
-    u = disc.u.values
-    v = disc.v.values
-    base_height = profile_eval(base, np.imag(phi))
-    on_surface = np.abs(u - base_height) <= cfg.tol
 
-    center = SQUEEZE_LIMIT - cfg.eps_shift
-    dist = np.sqrt(np.abs(phi - center) ** 2 + u**2 + v**2)
-    in_ball = dist <= cfg.delta
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.grid = CircleGrid(n=cfg.n)
+        self.params = DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift)
+        # the head problem refuses a bad alpha or window before any array is built
+        head = self._problem(self._surface(1.0))
+        self.phi = phi_on_grid(self.params, self.grid)
+        self.weight, self.base_vals = head.surface.trace_parts(
+            self.grid.theta, self.phi.values, None
+        )
+        center = SQUEEZE_LIMIT - cfg.eps_shift
+        self.center_dist2 = np.abs(self.phi.values - center) ** 2
 
-    neither = ~(on_surface | in_ball)
-    return int(np.sum(on_surface)), int(np.sum(in_ball)), int(np.sum(neither))
+    def _surface(self, eta: float) -> BumpDeformation:
+        cfg = self.cfg
+        return BumpDeformation(
+            base=FlatProfile(kind=KIND_IM, s=cfg.s),
+            delta=cfg.delta,
+            alpha=cfg.alpha,
+            eps_window=cfg.window_exponent(),
+            eta=eta,
+        )
+
+    def _problem(self, surface: BumpDeformation, **shared) -> BishopProblem:
+        return BishopProblem(
+            grid=self.grid,
+            disc=self.params,
+            surface=surface,
+            tol=self.cfg.tol,
+            max_iter=self.cfg.max_iter,
+            **shared,
+        )
+
+    def solve(self, eta: float) -> AttachedDisc:
+        surface = self._surface(eta)
+        trace = surface.combine(self.weight, self.base_vals)
+        return solve_bishop(self._problem(surface, phi=self.phi, trace=trace))
+
+    def cell(self, eta: float, disc: AttachedDisc) -> EtaCell:
+        """Classification, spectral radial derivative and deepest x2 of one solve.
+
+        The deformation vanishes outside its window, so nodes there still
+        satisfy the undeformed height relation at the solver tolerance; the
+        windowed nodes must instead fall inside the delta-ball around the
+        squeeze limit point.  Classifying against the deformed surface would
+        be vacuous (every node attaches to it by construction), so the
+        residual here is taken against the base profile.  The deepest x2 is
+        the least u along the ray toward the contact point.
+        """
+        u = disc.u.values
+        v = disc.v.values
+        on_surface = np.abs(u - self.base_vals) <= self.cfg.tol
+        dist = np.sqrt(self.center_dist2 + u**2 + v**2)
+        in_ball = dist <= self.cfg.delta
+        neither = ~(on_surface | in_ball)
+        along_ray = poisson_radial(disc.u, np.asarray(self.cfg.r_coverage), theta=0.0)
+        return EtaCell(
+            eta=eta,
+            converged=True,
+            on_surface=int(np.sum(on_surface)),
+            in_ball=int(np.sum(in_ball)),
+            neither=int(np.sum(neither)),
+            radial_derivative=radial_derivative(disc.u, method="spectral"),
+            min_x2=float(np.min(along_ray)),
+        )
 
 
-def _min_interior_x2(cfg: ExperimentConfig, disc: AttachedDisc) -> float:
-    """Deepest x2 = u value along the ray toward the contact point."""
-    vals = poisson_radial(disc.u, np.asarray(cfg.r_coverage), theta=0.0)
-    return float(np.min(vals))
+def _head(sweep: _Sweep) -> tuple:
+    """Both radial derivatives, the transversal profile and the cell of eta = 1.
 
-
-def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
-    grid = CircleGrid(n=cfg.n)
-
-    head = _solve_at_eta(cfg, grid, 1.0)
-    fu = head.u
-    rd_spec = radial_derivative(fu, method="spectral")
-    rd_quad = radial_derivative(fu, method="quadrature")
-    discrepancy = abs(rd_spec - rd_quad)
-    along_ray = poisson_radial(fu, np.asarray(cfg.r_profile), theta=0.0)
+    The head's own cell is taken here, so no later solve holds on to it.
+    """
+    cfg = sweep.cfg
+    head = sweep.solve(1.0)
+    rd_spec = radial_derivative(head.u, method="spectral")
+    rd_quad = radial_derivative(head.u, method="quadrature")
+    along_ray = poisson_radial(head.u, np.asarray(cfg.r_profile), theta=0.0)
     transversal = tuple(
         (float(r), float(val)) for r, val in zip(cfg.r_profile, along_ray)
     )
+    cell = sweep.cell(1.0, head) if 1.0 in cfg.eta_grid else None
+    return rd_spec, rd_quad, transversal, cell
+
+
+def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
+    sweep = _Sweep(cfg)
+    rd_spec, rd_quad, transversal, head_cell = _head(sweep)
 
     cells = []
-    coverage = math.inf
-    any_converged = False
     for eta in cfg.eta_grid:
+        if eta == 1.0:
+            cells.append(head_cell)
+            continue
         try:
-            disc = head if eta == 1.0 else _solve_at_eta(cfg, grid, eta)
+            cells.append(sweep.cell(eta, sweep.solve(eta)))
         except NotConverged:
             cells.append(
                 EtaCell(
@@ -189,24 +231,8 @@ def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
                     min_x2=math.nan,
                 )
             )
-            continue
-        on_s, in_b, nei = _classify(cfg, disc)
-        rd = radial_derivative(disc.u, method="spectral")
-        mx2 = _min_interior_x2(cfg, disc)
-        cells.append(
-            EtaCell(
-                eta=eta,
-                converged=True,
-                on_surface=on_s,
-                in_ball=in_b,
-                neither=nei,
-                radial_derivative=rd,
-                min_x2=mx2,
-            )
-        )
-        coverage = min(coverage, mx2)
-        any_converged = True
-    if not any_converged:
+    depths = [c.min_x2 for c in cells if c.converged]
+    if not depths:
         raise NotConverged("no eta cell converged; experiment has no coverage data")
 
     return PropagationReport(
@@ -214,11 +240,11 @@ def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
         radial_derivative=rd_quad,
         radial_derivative_spectral=rd_spec,
         radial_derivative_quadrature=rd_quad,
-        radial_discrepancy=discrepancy,
+        radial_discrepancy=abs(rd_spec - rd_quad),
         points_down=bool(rd_quad > 0.0),
         transversal_profile=transversal,
         eta_classifications=tuple(cells),
-        coverage_min_x2=coverage,
+        coverage_min_x2=min(depths),
         config=cfg,
     )
 

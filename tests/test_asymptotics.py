@@ -255,6 +255,15 @@ def test_spec_validation_messages():
     assert "not flat below" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_s_or_delta_is_refused(bad):
+    # s = inf passed the s > 1/2 check and integrated to NaN rows
+    with pytest.raises(ValueError, match="s must be finite"):
+        spec(bad, 0.1)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        spec(1.0, 0.1, delta=bad)
+
+
 @settings(max_examples=20, deadline=None)
 @given(s=st.floats(-2.0, 0.5), alpha=st.floats(0.05, 0.2))
 def test_s_at_or_below_half_always_rejected(s, alpha):

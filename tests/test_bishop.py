@@ -22,6 +22,7 @@ from disclab import (
     contraction_estimate,
     evaluate_trig,
     hilbert_t1,
+    phi_on_grid,
     poisson_radial,
     solve_bishop,
 )
@@ -118,6 +119,14 @@ def test_grid_must_resolve_window():
     assert "65536" in str(exc.value)
 
 
+def test_underflowed_window_is_unresolved_not_a_division_by_zero():
+    # exp(-2000 / 0.4) underflows to 0; the needed size comes from its log
+    surf = deformed_surface(alpha=0.2, eps_window=2000.0)
+    assert surf.window() == 0.0
+    with pytest.raises(GridUnresolved, match=r"exp\(-5000\); need n >= 2\^7221"):
+        make_problem(CircleGrid(n=4096), surf, alpha=0.2)
+
+
 def test_window_alpha_must_match_disc():
     surf = deformed_surface(alpha=0.2)
     with pytest.raises(ValueError):
@@ -164,6 +173,38 @@ def test_single_trace_matches_full_picard(surface):
     for field in ("iterations", "residual", "contraction", "converged"):
         assert getattr(once.report, field) == getattr(full.report, field)
     assert once.report.iterations == 2
+
+
+def test_shared_phi_and_trace_give_the_same_solve():
+    grid = CircleGrid(n=1 << 12)
+    surface = deformed_surface(eta=-0.4)
+    alone = solve_bishop(make_problem(grid, surface))
+    phi = phi_on_grid(DiscFamilyParams(alpha=0.1), grid)
+    trace = surface.boundary_trace(grid.theta, phi.values, None)
+    shared = solve_bishop(
+        BishopProblem(grid=grid, disc=DiscFamilyParams(alpha=0.1), surface=surface,
+                      phi=phi, trace=trace)
+    )
+    assert shared.phi is phi
+    assert np.array_equal(alone.phi.values, phi.values)
+    assert np.array_equal(alone.u.values, shared.u.values)
+    assert np.array_equal(alone.v.values, shared.v.values)
+    assert alone.report.iterations == shared.report.iterations == 2
+
+
+def test_shared_trace_is_refused_where_it_cannot_hold():
+    grid = CircleGrid(n=1 << 12)
+    params = DiscFamilyParams(alpha=0.1)
+    phi = phi_on_grid(params, grid)
+    trace = np.zeros(grid.n)
+    # a coupling surface is traced at every iterate: full Picard stays
+    with pytest.raises(ValueError, match="ignores y2"):
+        BishopProblem(grid=grid, disc=params, surface=CoupledSurface(), phi=phi, trace=trace)
+    with pytest.raises(ValueError, match="only with phi"):
+        BishopProblem(grid=grid, disc=params, surface=deformed_surface(), trace=trace)
+    with pytest.raises(ValueError, match="problem's grid"):
+        BishopProblem(grid=CircleGrid(n=1 << 12), disc=params, surface=deformed_surface(),
+                      phi=phi)
 
 
 def test_shared_phi_is_read_only(grid14, params01):

@@ -154,6 +154,31 @@ def test_poisson_rejects_unit_radius():
         poisson_extend(f, 1.0, g.theta)
     with pytest.raises(ValueError):
         poisson_radial(f, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError):
+        poisson_radial(f, np.array([0.5, np.nan]))
+
+
+def test_coefficients_are_shared_and_read_only():
+    g = CircleGrid(n=256)
+    f = band_limited(g, np.random.default_rng(3), 60)
+    c = fourier_coeffs(f)
+    assert fourier_coeffs(f) is c
+    with pytest.raises(ValueError, match="read-only"):
+        c.a[1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        c.b[1] = 0.0
+
+
+def test_poisson_radial_rays_give_the_same_bits_in_any_order():
+    g = CircleGrid(n=512)
+    f = band_limited(g, np.random.default_rng(7), 80)
+    radii = np.array([0.5, 0.9, 0.99])
+    first = poisson_radial(f, radii, theta=0.3)
+    poisson_radial(f, radii[:2], theta=0.3)
+    poisson_radial(f, radii, theta=1.1)
+    again = poisson_radial(f, radii, theta=0.3)
+    on_new_grid = poisson_radial(BoundaryFunction(CircleGrid(n=512), f.values), radii, 0.3)
+    assert np.array_equal(first, again) and np.array_equal(first, on_new_grid)
 
 
 # ---- radial derivative at the boundary

@@ -18,6 +18,7 @@ from disclab import cli
 from disclab.cli import dispatch, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -327,6 +328,56 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
     assert "65536" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the window exp(-5000) underflows to 0; the needed size is still named
+        (
+            ["attach", "--n", "4096", "--alpha", "0.2", "--eps-window", "2000"],
+            "grid of 4096 nodes cannot resolve the deformation window exp(-5000); "
+            "need n >= 2^7221",
+        ),
+        (
+            ["propagate", "--n", "4096", "--alpha", "0.2", "--eps-window", "2000"],
+            "grid of 4096 nodes cannot resolve the deformation window exp(-5000); "
+            "need n >= 2^7221",
+        ),
+        (
+            ["attach", "--n", "4096", "--alpha", "0.2", "--delta", "inf"],
+            "delta must be positive and finite, got inf",
+        ),
+        (
+            ["propagate", "--n", "4096", "--alpha", "0.2", "--delta", "inf"],
+            "delta must be positive and finite, got inf",
+        ),
+        (["attach", "--s", "inf", "--format", "json"], "s must be positive and finite, got inf"),
+        (["attach", "--eps-window", "nan"], "eps_window must be positive and finite, got nan"),
+        (["flatness", "--s", "1,inf"], "s must be positive and finite, got inf"),
+        (["fa-scan", "--s", "inf"], "s must be finite and exceed 1/2"),
+        (["fa-scan", "--delta", "inf"], "delta must be positive and finite, got inf"),
+        (["propagate", "--s", "inf"], "s must be positive and finite, got inf"),
+    ],
+    ids=[
+        "attach-window-underflow",
+        "propagate-window-underflow",
+        "attach-delta-inf",
+        "propagate-delta-inf",
+        "attach-s-inf",
+        "attach-eps-window-nan",
+        "flatness-s-inf",
+        "fa-scan-s-inf",
+        "fa-scan-delta-inf",
+        "propagate-s-inf",
+    ],
+)
+def test_unusable_window_or_nonfinite_parameter_is_a_validation_error(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("validation error: " + message)
+    assert "Traceback" not in err
+
+
 def test_attach_nonconvergence_exit_code_and_payload(tmp_path, capsys):
     out_file = tmp_path / "attach.json"
     rc, _, err = run_cli(
@@ -519,6 +570,49 @@ def test_propagate_alpha_search_flag(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["alpha"] == 0.2
     assert doc["points_down"] is True
+
+
+# the exact bytes of PROPAGATE_ARGS in each format and of an alpha search;
+# a change that moves any trailing digit of any cell shows up here
+_PROPAGATE_NOTE = (
+    "alpha=0.2: radial derivative 7.000426e-02 (quadrature) vs 7.000426e-02 "
+    "(spectral), points_down=true, coverage_min_x2=-7.035e-04\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, golden, note",
+    [
+        ([], "propagate.csv", _PROPAGATE_NOTE),
+        (["--format", "json"], "propagate.json", _PROPAGATE_NOTE),
+        (["--format", "table"], "propagate.table", _PROPAGATE_NOTE),
+        (
+            ["--alphas", "0.3,0.2,0.1"],
+            "propagate_alphas.csv",
+            "alpha=0.3: radial derivative 5.732856e-02 (quadrature) vs 5.732856e-02 "
+            "(spectral), points_down=true, coverage_min_x2=-5.762e-04\n",
+        ),
+    ],
+    ids=["csv", "json", "table", "alpha-search"],
+)
+def test_propagate_bytes_are_pinned(extra, golden, note, capsys):
+    rc, out, err = run_cli(PROPAGATE_ARGS + extra, capsys)
+    assert rc == 0
+    assert out == (GOLDEN / golden).read_text()
+    assert err == note
+
+
+def test_propagate_exhausted_alpha_search_bytes(capsys):
+    rc, out, err = run_cli(
+        ["propagate", "--s", "0.6", "--n", "4096", "--etas", "1", "--alphas", "0.2,0.1"],
+        capsys,
+    )
+    message = "no alpha in [0.2, 0.1] produced a downward-pointing disc at s = 0.6"
+    assert rc == 2
+    assert out == (
+        '{\n  "error": "NoAdmissibleAlpha",\n  "message": "' + message + '"\n}\n'
+    )
+    assert err == "numerical failure: " + message + "\n"
 
 
 # ---- documentation

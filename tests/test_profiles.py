@@ -168,6 +168,27 @@ def test_bump_validation():
         bump(alpha=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_parameters_are_refused(bad):
+    with pytest.raises(ValueError, match="s must be positive and finite"):
+        FlatProfile(kind=KIND_IM, s=bad)
+    for name in ("delta", "eps_window"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            bump(**{name: bad})
+
+
+def test_trace_parts_are_eta_free_and_combine_to_the_trace():
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    phi = phi_boundary(DiscFamilyParams(alpha=0.1), theta)
+    weight, base_vals = bump(eta=1.0).trace_parts(theta, phi, None)
+    assert np.array_equal(base_vals, profile_eval(FlatProfile(kind=KIND_IM, s=1.0), phi.imag))
+    for eta in (-1.0, -0.35, 0.0, 0.5, 1.0):
+        d = bump(eta=eta)
+        w_eta, b_eta = d.trace_parts(theta, phi, None)
+        assert np.array_equal(w_eta, weight) and np.array_equal(b_eta, base_vals)
+        assert np.array_equal(d.combine(weight, base_vals), d.boundary_trace(theta, phi, None))
+
+
 def test_eps_window_defaults_to_delta():
     d = BumpDeformation(base=FlatProfile(kind=KIND_IM, s=1.0), delta=0.3, alpha=0.1)
     assert d.eps_window == 0.3

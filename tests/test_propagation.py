@@ -1,6 +1,8 @@
 """Deformation experiment: classification, radial derivative sign, alpha search."""
 
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from disclab import (
     alpha_search,
     run_experiment,
 )
-from disclab import bishop, circle, propagation
+from disclab import bishop, circle, profiles, propagation
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,10 @@ def test_config_validation():
         ExperimentConfig(s=1.0, alpha=0.1, r_coverage=(0.5, 1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(s=1.0, alpha=0.1, eps_shift=-0.1)
+    for name in ("s", "delta", "eps_window"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                ExperimentConfig(**{"s": 1.0, "alpha": 0.1, name: bad})
 
 
 # ---- the flagship run: s = 1, alpha = 0.2
@@ -206,3 +212,94 @@ def test_one_phi_evaluation_per_experiment(monkeypatch):
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
     assert len(report.eta_classifications) == 21
     assert calls == [4096]
+
+
+def _calls(counts, name, fn):
+    def call(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def test_eta_free_work_is_done_once_per_experiment(monkeypatch):
+    counts = {}
+    for owner in (profiles, propagation):
+        monkeypatch.setattr(
+            owner, "profile_eval", _calls(counts, "base profile", profiles.profile_eval)
+        )
+    monkeypatch.setattr(
+        profiles, "_blend_weight", _calls(counts, "blend weight", profiles._blend_weight)
+    )
+    report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
+    assert len(report.eta_classifications) == 21
+    assert counts == {"base profile": 1, "blend weight": 1}
+
+
+def test_one_transform_per_function_and_one_ray_table_per_radii(monkeypatch):
+    transformed = []  # (kind, input array); the arrays are kept so no id is reused
+    rays = []
+
+    def recorded(kind, fn):
+        def call(a, *args, **kwargs):
+            transformed.append((kind, a))
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    class Numpy(types.ModuleType):
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+    def power_outer(radii, k):
+        rays.append(radii)
+        return np.power.outer(radii, k)
+
+    proxy = Numpy("numpy")
+    proxy.fft = types.SimpleNamespace(
+        rfft=recorded("rfft", np.fft.rfft), irfft=recorded("irfft", np.fft.irfft)
+    )
+    proxy.power = types.SimpleNamespace(outer=power_outer)
+    monkeypatch.setattr(circle, "np", proxy)
+    discs = []
+
+    def recording_solve(problem):
+        discs.append(bishop.solve_bishop(problem))
+        return discs[-1]
+
+    monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096)
+    run_experiment(cfg)
+    assert len(discs) == 21
+    # two T_1 per solve, one coefficient rfft per u, one irfft for the quadrature
+    assert len(transformed) == 21 * 4 + 21 + 1 == 106
+    inputs = [a for kind, a in transformed if kind == "rfft"]
+    assert len({id(a) for a in inputs}) == len(inputs)
+    for disc in discs:
+        assert sum(a is disc.u.values for a in inputs) == 1
+    assert rays == [cfg.r_profile, cfg.r_coverage]
+
+
+def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
+    refs = []
+
+    def kept(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for item in out if isinstance(out, tuple) else (out,):
+                refs.append(weakref.ref(item))
+            return out
+
+        return call
+
+    monkeypatch.setattr(propagation, "phi_on_grid", kept(bishop.phi_on_grid))
+    monkeypatch.setattr(profiles.BumpDeformation, "trace_parts",
+                        kept(profiles.BumpDeformation.trace_parts))
+    monkeypatch.setattr(circle.CircleGrid, "_ray_tables", kept(circle.CircleGrid._ray_tables))
+    monkeypatch.setattr(circle, "fourier_coeffs", kept(circle.fourier_coeffs))
+    report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
+    assert report.points_down
+    # phi, weight, base values, each ray table set and each u's coefficients
+    assert len(refs) >= 1 + 2 + 2 + 21
+    alive = [ref() for ref in refs if ref() is not None]
+    assert alive == []
