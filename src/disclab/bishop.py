@@ -144,7 +144,7 @@ class AttachedDisc:
 
 def phi_on_grid(disc: DiscFamilyParams, grid: CircleGrid) -> BoundaryFunction:
     """The first component phi on the grid's nodes, read-only."""
-    return BoundaryFunction(grid, phi_boundary(disc, grid.theta))
+    return BoundaryFunction._adopt(grid, phi_boundary(disc, grid.theta))
 
 
 def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
@@ -199,10 +199,10 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     ratios = [
         b / a for a, b in zip(increments, increments[1:]) if a > 0.0
     ]
-    vb = BoundaryFunction(grid, v)
+    vb = BoundaryFunction._adopt(grid, v)  # v is the last T_1 result's read-only values
     u_vals = -hilbert_t1(vb).values
     u_vals[0] = 0.0  # avoid the negative zero
-    ub = BoundaryFunction(grid, u_vals)
+    ub = BoundaryFunction._adopt(grid, u_vals)
     report = SolveReport(
         iterations=iterations,
         residual=increments[-1],

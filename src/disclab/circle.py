@@ -114,18 +114,19 @@ class BoundaryFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
-        if vals.dtype.kind not in "fc":
-            vals = vals.astype(float)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} samples, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("boundary samples must all be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        # the caller may keep and change its array, so the function holds a copy
+        object.__setattr__(self, "values", _frozen_samples(self.grid, np.array(self.values)))
+
+    @classmethod
+    def _adopt(cls, grid: CircleGrid, values: np.ndarray) -> "BoundaryFunction":
+        """Wrap an array the package has just made and keeps no other reference to.
+
+        The constructor's checks, without its copy.
+        """
+        f = cls.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", _frozen_samples(grid, values))
+        return f
 
     @classmethod
     def from_callable(cls, grid: CircleGrid, fn) -> "BoundaryFunction":
@@ -160,6 +161,18 @@ class BoundaryFunction:
         return FourierCoeffs(a, b)
 
 
+def _frozen_samples(grid: CircleGrid, vals: np.ndarray) -> np.ndarray:
+    """vals as n finite float or complex samples, made read-only in place."""
+    if vals.dtype.kind not in "fc":
+        vals = vals.astype(float)
+    if vals.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} samples, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("boundary samples must all be finite")
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class FourierCoeffs:
     """Cosine/sine coefficients a[k], b[k] for k = 0..n/2.
@@ -192,7 +205,7 @@ def conjugate(f: BoundaryFunction) -> BoundaryFunction:
     spec *= -1j
     spec[0] = 0.0
     spec[-1] = 0.0  # Nyquist: the conjugate mode samples to zero on the grid
-    return BoundaryFunction(f.grid, np.fft.irfft(spec, f.grid.n))
+    return BoundaryFunction._adopt(f.grid, np.fft.irfft(spec, f.grid.n))
 
 
 def hilbert_t1(f: BoundaryFunction) -> BoundaryFunction:
@@ -200,7 +213,7 @@ def hilbert_t1(f: BoundaryFunction) -> BoundaryFunction:
     g = conjugate(f)
     vals = g.values - g.values[0]
     vals[0] = 0.0  # exact zero at the normalization node
-    return BoundaryFunction(f.grid, vals)
+    return BoundaryFunction._adopt(f.grid, vals)
 
 
 def fourier_coeffs(f: BoundaryFunction) -> FourierCoeffs:
@@ -218,7 +231,7 @@ def reconstruct(coeffs: FourierCoeffs, grid: CircleGrid) -> BoundaryFunction:
     spec = (0.5 * n) * (coeffs.a - 1j * coeffs.b)
     spec[0] = n * coeffs.a[0]
     spec[-1] = n * coeffs.a[-1]
-    return BoundaryFunction(grid, np.fft.irfft(spec, n))
+    return BoundaryFunction._adopt(grid, np.fft.irfft(spec, n))
 
 
 def poisson_extend(f: BoundaryFunction, r: float, theta):

@@ -13,7 +13,9 @@ defaults, then a JSON config file given with --config, then explicit
 flags; one parameter spec per subcommand (`_SUBCOMMANDS`) drives all
 three.  Data goes to --out (default standard output) as CSV or JSON,
 or, for `flatness`, `fa-scan` and `propagate`, as a human-readable
-table; progress and verdict messages go to standard error.  Outputs are
+table; progress and verdict messages go to standard error.  CSV is
+formatted column by column and written as it is formatted, a block of
+rows at a time, so the whole text is never held at once.  Outputs are
 deterministic: the same resolved configuration produces byte-identical
 bytes.
 
@@ -51,6 +53,9 @@ __all__ = ["main", "dispatch"]
 
 _LN10 = math.log(10.0)
 
+# rows formatted and written per step: bounds the text held at once
+_CSV_CHUNK_ROWS = 4096
+
 # acceptance criterion 3's grid: order k = 8 attenuates by 1e-10 only near 1e-42.6
 _FLAT_THETAS = [10.0 ** -j for j in range(1, 61)]
 _FLAT_K_MAX = 8
@@ -61,11 +66,24 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, spec=None, **kwargs):
         super().__init__(*args, **kwargs)
         # widened so comma lists with a leading negative entry ("-1,-0.5,0")
         # parse as values rather than unknown options
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
+        self._spec = spec  # a subcommand's flags, added when it is the one chosen
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._spec is not None:
+            spec, self._spec = self._spec, None
+            for param in spec.params:
+                flag = "--" + param.name.replace("_", "-")
+                self.add_argument(flag, type=param.kind, help=param.help)
+            self.add_argument("--out", help="output path (default: stdout)")
+            if spec.formats:
+                self.add_argument("--format", default=spec.formats[0], choices=spec.formats)
+            self.add_argument("--config", help="JSON file with parameter defaults")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> None:  # argparse would exit(2)
         raise _UsageError(message)
@@ -146,10 +164,20 @@ def _jsonable(x):
     return x
 
 
-def _emit_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_cells(column) -> list:
+    """One CSV column as text: floats by repr, bools as true/false, ints by str."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def _csv_chunks(header, columns):
+    """The CSV text of `columns` under `header`, _CSV_CHUNK_ROWS rows at a time."""
+    yield ",".join(header) + "\n"
+    n = min(map(len, columns), default=0)
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        cells = [_csv_cells(col[lo : lo + _CSV_CHUNK_ROWS]) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _emit_json(obj) -> str:
@@ -160,22 +188,31 @@ def _emit_lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _write_as(out_path, fmt, header, rows, doc, table=()) -> None:
-    """`rows` under `header` as CSV, `doc` as JSON, or the `table` lines."""
+def _write_as(out_path, fmt, header, columns, doc, table=()) -> None:
+    """`columns` under `header` as CSV, `doc` as JSON, or the `table` lines."""
     if fmt == "csv":
-        _write(out_path, _emit_csv(header, rows))
+        _write_csv(out_path, header, columns)
     elif fmt == "json":
         _write(out_path, _emit_json(doc))
     else:
         _write(out_path, _emit_lines(table))
 
 
+def _write_csv(out_path, header, columns) -> None:
+    """`columns` (equal-length arrays or sequences) as CSV, written as it is formatted."""
+    _write_chunks(out_path, _csv_chunks(header, columns))
+
+
 def _write(out_path, text: str) -> None:
+    _write_chunks(out_path, (text,))
+
+
+def _write_chunks(out_path, chunks) -> None:
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _note(msg: str) -> None:
@@ -208,15 +245,15 @@ def _run_disc(cfg, out_path, fmt) -> int:
     concentrated = None
     if cfg["eps_shift"] == 0.0:
         concentrated = concentration_bound_check(params, cfg["delta"])
-    rows = [(float(t), float(p.real), float(p.imag)) for t, p in zip(grid.theta, phi)]
+    columns = (grid.theta, phi.real, phi.imag)
     header = ("theta", "re_phi", "im_phi")
     doc = {
         "config": cfg,
         "concentrated_within_delta": concentrated,
         "columns": list(header),
-        "rows": rows,
+        "rows": list(zip(*columns)),
     }
-    _write_as(out_path, fmt, header, rows, doc)
+    _write_as(out_path, fmt, header, columns, doc)
     if fmt == "csv":
         if concentrated is None:
             _note("concentration check skipped: needs eps_shift = 0")
@@ -259,7 +296,7 @@ def _run_flatness(cfg, out_path, fmt) -> int:
             )
     header = ("s", "alpha", "k", "theta", "log10_ratio")
     doc = {"config": cfg, "columns": list(header), "rows": rows}
-    _write_as(out_path, fmt, header, rows, doc, table)
+    _write_as(out_path, fmt, header, list(zip(*rows)), doc, table)
     return 0
 
 
@@ -289,7 +326,7 @@ def _run_fa_scan(cfg, out_path, fmt) -> int:
     doc = {"config": cfg, "columns": list(header), "rows": rows, "verdicts": verdicts}
     table.append("")
     table.extend(f"s={s:g}: {v} as alpha decreases" for s, v in result.verdicts)
-    _write_as(out_path, fmt, header, rows, doc, table)
+    _write_as(out_path, fmt, header, list(zip(*rows)), doc, table)
     for entry in verdicts:
         _note(f"verdict s={_fmt(entry['s'])}: {entry['verdict']}")
     if failures:
@@ -324,19 +361,10 @@ def _run_attach(cfg, out_path, fmt) -> int:
     residual = attachment_residual(disc, surface)
     rep = disc.report
     if fmt == "csv":
-        rows = zip(
-            grid.theta,
-            disc.phi.values.real,
-            disc.phi.values.imag,
-            disc.u.values,
-            disc.v.values,
-        )
-        _write(
+        _write_csv(
             out_path,
-            _emit_csv(
-                ("theta", "re_phi", "im_phi", "u", "v"),
-                ([float(x) for x in row] for row in rows),
-            ),
+            ("theta", "re_phi", "im_phi", "u", "v"),
+            (grid.theta, disc.phi.values.real, disc.phi.values.imag, disc.u.values, disc.v.values),
         )
     else:
         _write(
@@ -382,7 +410,7 @@ def _run_propagate(cfg, out_path, fmt) -> int:
         (c.eta, c.radial_derivative, c.min_x2, c.converged) for c in report.eta_classifications
     ]
     doc = dataclasses.asdict(report)
-    _write_as(out_path, fmt, header, rows, doc, _propagate_table(report))
+    _write_as(out_path, fmt, header, list(zip(*rows)), doc, _propagate_table(report))
     _note(
         f"alpha={_fmt(report.alpha)}: radial derivative "
         f"{report.radial_derivative:.6e} (quadrature) vs "
@@ -508,16 +536,11 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> _Parser:
+    """The `disclab` parser; a subcommand's flags are added only once it is chosen."""
     parser = _Parser(prog="disclab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name, spec in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        for param in spec.params:
-            p.add_argument("--" + param.name.replace("_", "-"), type=param.kind, help=param.help)
-        p.add_argument("--out", help="output path (default: stdout)")
-        if spec.formats:
-            p.add_argument("--format", default=spec.formats[0], choices=spec.formats)
-        p.add_argument("--config", help="JSON file with parameter defaults")
+        sub.add_parser(name, help=spec.help, spec=spec)
     return parser
 
 

@@ -120,15 +120,23 @@ def inv_abs_im_phi_logtheta(alpha: float, t) -> np.ndarray:
     underflows.  Valid for e^{-t} < pi.
     """
     tv = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(tv).astype(float)
+    tt = tv.reshape(-1)  # a view when t is contiguous
     if np.any(tt <= -math.log(math.pi)):
         raise ValueError("need e^{-t} < pi, i.e. t > -log(pi)")
-    theta = np.exp(-np.minimum(tt, 700.0))
-    half = 0.5 * theta
     small = tt > 40.0
-    with np.errstate(divide="ignore"):
-        log_rho = np.where(small, -tt - math.log(2.0), np.log(np.sin(half)))
-    psi_abs = np.where(small, 0.5 * math.pi, 0.5 * math.pi - half)
+    # each branch is evaluated only where it is selected
+    if small.all():
+        log_rho = -tt - math.log(2.0)
+        psi_abs = 0.5 * math.pi
+    else:
+        log_rho = np.empty_like(tt)
+        psi_abs = np.empty_like(tt)
+        log_rho[small] = -tt[small] - math.log(2.0)
+        psi_abs[small] = 0.5 * math.pi
+        wide = ~small
+        half = 0.5 * np.exp(-tt[wide])
+        log_rho[wide] = np.log(np.sin(half))
+        psi_abs[wide] = 0.5 * math.pi - half
     a = -LOG4 + alpha * log_rho
     b = alpha * psi_abs
     out = (a * a + b * b) / (alpha * psi_abs)

@@ -48,6 +48,34 @@ def test_boundary_function_requires_matching_length():
         BoundaryFunction(g, np.full(16, np.nan))
 
 
+def test_boundary_function_copies_the_callers_array():
+    g = CircleGrid(n=16)
+    vals = np.cos(g.theta)
+    f = BoundaryFunction(g, vals)
+    vals[:] = 7.0
+    assert np.array_equal(f.values, np.cos(g.theta))
+    assert not f.values.flags.writeable
+    ints = BoundaryFunction(g, np.arange(16))
+    assert ints.values.dtype == float and not ints.values.flags.writeable
+
+
+def test_adopted_arrays_are_checked_and_frozen_without_a_copy():
+    g = CircleGrid(n=16)
+    fresh = np.sin(g.theta)
+    f = BoundaryFunction._adopt(g, fresh)
+    assert f.values is fresh
+    assert not fresh.flags.writeable
+    assert BoundaryFunction._adopt(g, np.arange(16)).values.dtype == float
+    with pytest.raises(ValueError, match="expected 16 samples"):
+        BoundaryFunction._adopt(g, np.zeros(15))
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryFunction._adopt(g, np.full(16, np.inf))
+    # transforms hand out read-only results, and never the input's own array
+    t = hilbert_t1(f)
+    assert not t.values.flags.writeable
+    assert t.values is not f.values
+
+
 # ---- conjugate function
 
 

@@ -615,6 +615,145 @@ def test_propagate_exhausted_alpha_search_bytes(capsys):
     assert err == "numerical failure: " + message + "\n"
 
 
+# ---- CSV writer
+
+
+# each CSV subcommand's bytes at a small size, with its stderr note
+_CSV_GOLDEN = [
+    (
+        ["attach", "--n", "1024", "--delta", "0.2", "--eta", "1.0"],
+        "attach_deformed.csv",
+        "attached in 2 iterations; residual 0.000e+00, attachment 2.207e-13, "
+        "holomorphy defect 4.070e-18\n",
+    ),
+    (
+        ["attach", "--n", "1024"],
+        "attach.csv",
+        "attached in 2 iterations; residual 0.000e+00, attachment 6.705e-15, "
+        "holomorphy defect 2.877e-25\n",
+    ),
+    (
+        ["disc", "--n", "1024"],
+        "disc.csv",
+        "boundary concentrates within delta=0.2 of the squeeze limit: true\n",
+    ),
+    (["flatness", "--s", "0.4,1"], "flatness.csv", ""),
+]
+_CSV_IDS = ["attach-deformed", "attach", "disc", "flatness"]
+
+
+@pytest.mark.parametrize("argv, golden, note", _CSV_GOLDEN, ids=_CSV_IDS)
+def test_csv_bytes_are_pinned(argv, golden, note, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0
+    assert out == (GOLDEN / golden).read_text()
+    assert err == note
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 1024])
+def test_csv_chunk_size_leaves_the_bytes(chunk_rows, monkeypatch, capsys):
+    # 1024 rows (960 for flatness): one row per chunk, a ragged last chunk, one chunk
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    for argv, golden, _ in _CSV_GOLDEN:
+        rc, out, _ = run_cli(argv, capsys)
+        assert rc == 0
+        assert out == (GOLDEN / golden).read_text(), golden
+
+
+def test_attach_csv_on_stdout_is_the_out_file_written_in_row_chunks(tmp_path, monkeypatch):
+    argv = ["attach", "--n", "16384", "--delta", "0.2", "--eta", "1.0"]
+    out_file = tmp_path / "attach.csv"
+    assert dispatch(argv + ["--out", str(out_file)]) == 0
+
+    pieces = []
+
+    class Stdout:
+        def write(self, text):
+            pieces.append(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert dispatch(argv) == 0
+    assert "".join(pieces).encode("ascii") == out_file.read_bytes()
+    # the header, then the rows a chunk at a time: the whole text is never one string
+    rows = cli._CSV_CHUNK_ROWS
+    assert len(pieces) == 1 + 16384 // rows
+    assert [piece.count("\n") for piece in pieces[1:]] == [rows] * (16384 // rows)
+
+
+# ---- parser
+
+
+# argparse lays out help and error texts differently from one Python
+# release to the next; these were taken from Python 3.11
+_PYTHON_311 = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse texts are pinned for Python 3.11"
+)
+
+
+@_PYTHON_311
+@pytest.mark.parametrize("sub", [None, *cli._SUBCOMMANDS])
+def test_help_texts_are_pinned(sub, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(([sub] if sub else []) + ["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / (f"help_{sub}.txt" if sub else "help.txt")).read_text()
+    assert captured.err == ""
+
+
+@_PYTHON_311
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["frobnicate"],
+            "argument subcommand: invalid choice: 'frobnicate' (choose from 'selftest', "
+            "'disc', 'flatness', 'fa-scan', 'attach', 'propagate')",
+        ),
+        ([], "the following arguments are required: subcommand"),
+        (["disc", "--n", "notanint"], "argument --n: invalid int value: 'notanint'"),
+        (["disc", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (
+            ["attach", "--format", "table"],
+            "argument --format: invalid choice: 'table' (choose from 'csv', 'json')",
+        ),
+        (["propagate", "--s"], "argument --s: expected one argument"),
+    ],
+)
+def test_usage_error_texts_are_pinned(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_only_the_chosen_subcommand_gets_its_flags(monkeypatch, capsys):
+    added = []
+    add_argument = cli._Parser.add_argument
+
+    def recorded(self, *flags, **kwargs):
+        added.append(flags[0])
+        return add_argument(self, *flags, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", recorded)
+    rc, _, _ = run_cli(["disc", "--n", "64"], capsys)
+    assert rc == 0
+    assert [flag for flag in added if flag != "-h"] == [
+        "--alpha",
+        "--eps-shift",
+        "--delta",
+        "--n",
+        "--out",
+        "--format",
+        "--config",
+    ]
+
+
 # ---- documentation
 
 

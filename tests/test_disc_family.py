@@ -19,6 +19,7 @@ from disclab import (
     phi_boundary,
     phi_eval,
 )
+from disclab.disc_family import LOG4
 
 
 # ---- pointwise values
@@ -148,6 +149,62 @@ def test_inverse_modulus_log_parametrization_roundtrip():
 def test_inverse_modulus_requires_small_angle():
     with pytest.raises(ValueError):
         inv_abs_im_phi_logtheta(0.1, -2.0)
+    with pytest.raises(ValueError):
+        inv_abs_im_phi_logtheta(0.1, np.array([5.0, 50.0, -math.log(math.pi)]))
+
+
+def _inv_abs_im_phi_logtheta_np_where(alpha, t):
+    """The formula evaluating both branches everywhere and picking with np.where."""
+    tv = np.asarray(t, dtype=float)
+    tt = np.atleast_1d(tv).astype(float)
+    theta = np.exp(-np.minimum(tt, 700.0))
+    half = 0.5 * theta
+    small = tt > 40.0
+    with np.errstate(divide="ignore"):
+        log_rho = np.where(small, -tt - math.log(2.0), np.log(np.sin(half)))
+    psi_abs = np.where(small, 0.5 * math.pi, 0.5 * math.pi - half)
+    a = -LOG4 + alpha * log_rho
+    b = alpha * psi_abs
+    out = (a * a + b * b) / (alpha * psi_abs)
+    return float(out[0]) if tv.ndim == 0 else out.reshape(tv.shape)
+
+
+# either side of the closed-form switch at t = 40 and the old clamp at t = 700
+_SWITCH_TS = (
+    -math.log(math.pi) + 1e-12, 0.0, 1.0, 39.5, math.nextafter(40.0, 0.0), 40.0,
+    math.nextafter(40.0, math.inf), 40.5, 699.0, math.nextafter(700.0, 0.0), 700.0,
+    math.nextafter(700.0, math.inf), 745.5, 1e4, 1e300, math.inf,
+)
+
+
+@pytest.mark.parametrize("alpha", [0.0125, 0.1, 1.0])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # t = 1e300 -> inf
+def test_inverse_modulus_is_bitwise_the_np_where_formula(alpha):
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    for t in _SWITCH_TS:
+        got = inv_abs_im_phi_logtheta(alpha, t)
+        assert type(got) is float
+        assert bits(got) == bits(_inv_abs_im_phi_logtheta_np_where(alpha, t)), t
+        assert type(inv_abs_im_phi_logtheta(alpha, np.float64(t))) is float
+    mixed = np.array(_SWITCH_TS)
+    for arr in (
+        mixed,
+        mixed[::-1].copy(),
+        mixed[mixed > 40.0],  # closed form only
+        mixed[mixed <= 40.0],  # sine branch only
+        mixed[:12].reshape(3, 4),
+        np.array(45.0),
+        list(_SWITCH_TS),
+    ):
+        before = np.array(arr, copy=True)
+        got = inv_abs_im_phi_logtheta(alpha, arr)
+        want = _inv_abs_im_phi_logtheta_np_where(alpha, arr)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert bits(got) == bits(want)
+        assert np.array_equal(np.asarray(arr), before)  # the input is not written to
 
 
 def test_modulus_growth_ratio_stabilizes():
