@@ -66,27 +66,39 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, spec=None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # widened so comma lists with a leading negative entry ("-1,-0.5,0")
         # parse as values rather than unknown options
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
-        self._spec = spec  # a subcommand's flags, added when it is the one chosen
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._spec is not None:
-            spec, self._spec = self._spec, None
-            for param in spec.params:
-                flag = "--" + param.name.replace("_", "-")
-                self.add_argument(flag, type=param.kind, help=param.help)
-            self.add_argument("--out", help="output path (default: stdout)")
-            if spec.formats:
-                self.add_argument("--format", default=spec.formats[0], choices=spec.formats)
-            self.add_argument("--config", help="JSON file with parameter defaults")
-        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> None:  # argparse would exit(2)
         raise _UsageError(message)
+
+
+class _Unbuilt:
+    """A subcommand's place among the choices; its parser is built when it is parsed.
+
+    The subcommand action reads nothing of a subparser but
+    parse_known_args, and the choice's help line is kept by the action
+    itself, so the other subcommands' parsers are never built.
+    """
+
+    def __init__(self, prog: str, spec):
+        self.prog = prog
+        self.spec = spec
+
+    def parse_known_args(self, args=None, namespace=None):
+        spec = self.spec
+        parser = _Parser(prog=self.prog)
+        for param in spec.params:
+            flag = "--" + param.name.replace("_", "-")
+            parser.add_argument(flag, type=param.kind, help=param.help)
+        parser.add_argument("--out", help="output path (default: stdout)")
+        if spec.formats:
+            parser.add_argument("--format", default=spec.formats[0], choices=spec.formats)
+        parser.add_argument("--config", help="JSON file with parameter defaults")
+        return parser.parse_known_args(args, namespace)
 
 
 def _floats(val) -> tuple:
@@ -188,14 +200,19 @@ def _emit_lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _write_as(out_path, fmt, header, columns, doc, table=()) -> None:
-    """`columns` under `header` as CSV, `doc` as JSON, or the `table` lines."""
+def _write_as(out_path, fmt, **payloads) -> None:
+    """The payload of format `fmt`, built only now: csv, json or table.
+
+    Each payload is a function: csv returns (header, columns), json the
+    document, table the lines; the others are never called.
+    """
+    build = payloads[fmt]
     if fmt == "csv":
-        _write_csv(out_path, header, columns)
+        _write_csv(out_path, *build())
     elif fmt == "json":
-        _write(out_path, _emit_json(doc))
+        _write(out_path, _emit_json(build()))
     else:
-        _write(out_path, _emit_lines(table))
+        _write(out_path, _emit_lines(build()))
 
 
 def _write_csv(out_path, header, columns) -> None:
@@ -247,13 +264,17 @@ def _run_disc(cfg, out_path, fmt) -> int:
         concentrated = concentration_bound_check(params, cfg["delta"])
     columns = (grid.theta, phi.real, phi.imag)
     header = ("theta", "re_phi", "im_phi")
-    doc = {
-        "config": cfg,
-        "concentrated_within_delta": concentrated,
-        "columns": list(header),
-        "rows": list(zip(*columns)),
-    }
-    _write_as(out_path, fmt, header, columns, doc)
+    _write_as(
+        out_path,
+        fmt,
+        csv=lambda: (header, columns),
+        json=lambda: {
+            "config": cfg,
+            "concentrated_within_delta": concentrated,
+            "columns": list(header),
+            "rows": list(zip(*columns)),
+        },
+    )
     if fmt == "csv":
         if concentrated is None:
             _note("concentration check skipped: needs eps_shift = 0")
@@ -273,11 +294,7 @@ def _run_flatness(cfg, out_path, fmt) -> int:
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     rows = []
-    table = [
-        f"alpha={alpha:g}, grid theta=1e-1..1e-{len(_FLAT_THETAS)}",
-        f"{'s':>5} {'k':>3} {'log10 first':>12} {'log10 last':>11} "
-        f"{'attenuation':>12} {'flat to order k':>15}",
-    ]
+    orders = []  # (s, k, first and last log10 ratio, flat to order k)
     for s in cfg["s"]:
         FlatProfile(kind=KIND_IM, s=s)  # refuses an s that is not positive and finite
 
@@ -289,15 +306,30 @@ def _run_flatness(cfg, out_path, fmt) -> int:
             log_ratios, flat = flatness_order_check(log_g.__getitem__, k, _FLAT_THETAS)
             log10s = [r / _LN10 for r in log_ratios]
             rows.extend((s, alpha, k, t, r) for t, r in zip(_FLAT_THETAS, log10s))
-            att = log10s[-1] - log10s[0]
-            table.append(
-                f"{s:>5.3g} {k:>3} {log10s[0]:>12.3f} {log10s[-1]:>11.3f} "
-                f"{'1e' + format(att, '+.1f'):>12} {'yes' if flat else 'no':>15}"
-            )
+            orders.append((s, k, log10s[0], log10s[-1], flat))
     header = ("s", "alpha", "k", "theta", "log10_ratio")
-    doc = {"config": cfg, "columns": list(header), "rows": rows}
-    _write_as(out_path, fmt, header, list(zip(*rows)), doc, table)
+    _write_as(
+        out_path,
+        fmt,
+        csv=lambda: (header, list(zip(*rows))),
+        json=lambda: {"config": cfg, "columns": list(header), "rows": rows},
+        table=lambda: _flatness_table(alpha, orders),
+    )
     return 0
+
+
+def _flatness_table(alpha, orders) -> list:
+    lines = [
+        f"alpha={alpha:g}, grid theta=1e-1..1e-{len(_FLAT_THETAS)}",
+        f"{'s':>5} {'k':>3} {'log10 first':>12} {'log10 last':>11} "
+        f"{'attenuation':>12} {'flat to order k':>15}",
+    ]
+    lines.extend(
+        f"{s:>5.3g} {k:>3} {first:>12.3f} {last:>11.3f} "
+        f"{'1e' + format(last - first, '+.1f'):>12} {'yes' if flat else 'no':>15}"
+        for s, k, first, last, flat in orders
+    )
+    return lines
 
 
 # ----------------------------------------------------------------- fa-scan
@@ -305,34 +337,45 @@ def _run_flatness(cfg, out_path, fmt) -> int:
 
 def _run_fa_scan(cfg, out_path, fmt) -> int:
     result = dichotomy_scan(cfg["s"], cfg["alphas"], cfg["delta"])
-    rows = []
-    table = [
-        f"{'s':>6} {'alpha':>7} {'F_alpha':>14} {'log F_alpha':>13} {'rel_err':>9} {'trunc':>5}"
+    rows = [
+        (s, a, math.nan, math.nan, False)
+        if res is None
+        else (s, a, res.value, res.abs_err, res.truncated)
+        for s, a, res in result.cells
     ]
-    failures = 0
-    for s, a, res in result.cells:
-        if res is None:
-            rows.append((s, a, math.nan, math.nan, False))
-            table.append(f"{s:>6.3g} {a:>7.3g} {'failed':>14}")
-            failures += 1
-        else:
-            rows.append((s, a, res.value, res.abs_err, res.truncated))
-            table.append(
-                f"{s:>6.3g} {a:>7.3g} {res.value:>14.6e} {res.log_value:>13.4f} "
-                f"{res.rel_err:>9.1e} {_fmt(res.truncated):>5}"
-            )
     header = ("s", "alpha", "f_alpha", "abs_err", "truncated")
     verdicts = [{"s": s, "verdict": v} for s, v in result.verdicts]
-    doc = {"config": cfg, "columns": list(header), "rows": rows, "verdicts": verdicts}
-    table.append("")
-    table.extend(f"s={s:g}: {v} as alpha decreases" for s, v in result.verdicts)
-    _write_as(out_path, fmt, header, list(zip(*rows)), doc, table)
+    _write_as(
+        out_path,
+        fmt,
+        csv=lambda: (header, list(zip(*rows))),
+        json=lambda: {"config": cfg, "columns": list(header), "rows": rows, "verdicts": verdicts},
+        table=lambda: _fa_scan_table(result),
+    )
     for entry in verdicts:
         _note(f"verdict s={_fmt(entry['s'])}: {entry['verdict']}")
+    failures = sum(res is None for _, _, res in result.cells)
     if failures:
         _note(f"fa-scan: {failures} cell(s) failed numerically (nan rows)")
         return 2
     return 0
+
+
+def _fa_scan_table(result) -> list:
+    lines = [
+        f"{'s':>6} {'alpha':>7} {'F_alpha':>14} {'log F_alpha':>13} {'rel_err':>9} {'trunc':>5}"
+    ]
+    for s, a, res in result.cells:
+        if res is None:
+            lines.append(f"{s:>6.3g} {a:>7.3g} {'failed':>14}")
+        else:
+            lines.append(
+                f"{s:>6.3g} {a:>7.3g} {res.value:>14.6e} {res.log_value:>13.4f} "
+                f"{res.rel_err:>9.1e} {_fmt(res.truncated):>5}"
+            )
+    lines.append("")
+    lines.extend(f"s={s:g}: {v} as alpha decreases" for s, v in result.verdicts)
+    return lines
 
 
 # ------------------------------------------------------------------ attach
@@ -360,31 +403,27 @@ def _run_attach(cfg, out_path, fmt) -> int:
     disc = solve_bishop(problem)
     residual = attachment_residual(disc, surface)
     rep = disc.report
-    if fmt == "csv":
-        _write_csv(
-            out_path,
+    _write_as(
+        out_path,
+        fmt,
+        csv=lambda: (
             ("theta", "re_phi", "im_phi", "u", "v"),
             (grid.theta, disc.phi.values.real, disc.phi.values.imag, disc.u.values, disc.v.values),
-        )
-    else:
-        _write(
-            out_path,
-            _emit_json(
-                {
-                    "config": cfg,
-                    "deformed": wants_bump,
-                    "iterations": rep.iterations,
-                    "residual": rep.residual,
-                    "contraction": rep.contraction,
-                    "converged": rep.converged,
-                    "holomorphy_defect": rep.holomorphy_defect,
-                    "holder_seminorm": rep.holder_seminorm,
-                    "attachment_residual": residual,
-                    "sup_u": disc.u.sup_norm(),
-                    "sup_v": disc.v.sup_norm(),
-                }
-            ),
-        )
+        ),
+        json=lambda: {
+            "config": cfg,
+            "deformed": wants_bump,
+            "iterations": rep.iterations,
+            "residual": rep.residual,
+            "contraction": rep.contraction,
+            "converged": rep.converged,
+            "holomorphy_defect": rep.holomorphy_defect,
+            "holder_seminorm": rep.holder_seminorm,
+            "attachment_residual": residual,
+            "sup_u": disc.u.sup_norm(),
+            "sup_v": disc.v.sup_norm(),
+        },
+    )
     _note(
         f"attached in {rep.iterations} iterations; residual {rep.residual:.3e}, "
         f"attachment {residual:.3e}, holomorphy defect {rep.holomorphy_defect:.3e}"
@@ -405,12 +444,13 @@ def _run_propagate(cfg, out_path, fmt) -> int:
         report = alpha_search(xcfg, cfg["alphas"])
     else:
         report = run_experiment(xcfg)
-    header = ("eta", "radial_derivative", "min_x2", "converged")
-    rows = [
-        (c.eta, c.radial_derivative, c.min_x2, c.converged) for c in report.eta_classifications
-    ]
-    doc = dataclasses.asdict(report)
-    _write_as(out_path, fmt, header, list(zip(*rows)), doc, _propagate_table(report))
+    _write_as(
+        out_path,
+        fmt,
+        csv=lambda: _propagate_columns(report),
+        json=lambda: dataclasses.asdict(report),
+        table=lambda: _propagate_table(report),
+    )
     _note(
         f"alpha={_fmt(report.alpha)}: radial derivative "
         f"{report.radial_derivative:.6e} (quadrature) vs "
@@ -418,6 +458,14 @@ def _run_propagate(cfg, out_path, fmt) -> int:
         f"{_fmt(report.points_down)}, coverage_min_x2={report.coverage_min_x2:.3e}"
     )
     return 0
+
+
+def _propagate_columns(report) -> tuple:
+    header = ("eta", "radial_derivative", "min_x2", "converged")
+    rows = [
+        (c.eta, c.radial_derivative, c.min_x2, c.converged) for c in report.eta_classifications
+    ]
+    return header, list(zip(*rows))
 
 
 def _propagate_table(report) -> list:
@@ -536,9 +584,9 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> _Parser:
-    """The `disclab` parser; a subcommand's flags are added only once it is chosen."""
+    """The `disclab` parser; a subcommand's parser is built only once it is chosen."""
     parser = _Parser(prog="disclab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Unbuilt)
     for name, spec in _SUBCOMMANDS.items():
         sub.add_parser(name, help=spec.help, spec=spec)
     return parser

@@ -7,24 +7,32 @@ One experiment fixes a squeezed disc family (alpha), a flat profile
      and evaluates the interior radial derivative of the height u at the
      contact point, by the spectral coefficient sum and independently by
      the trapezoid-rule quadrature of the boundary representation;
-  2. re-solves along a grid of deformation strengths eta in [-1, 1] and
-     classifies every boundary point of every disc as lying on the
-     undeformed surface or inside the delta-ball around the squeeze
-     limit, recording how far each disc dips below x2 = 0.
+  2. classifies, along a grid of deformation strengths eta in [-1, 1],
+     every boundary point of every disc as lying on the undeformed
+     surface or inside the delta-ball around the squeeze limit,
+     recording how far each disc dips below x2 = 0.
 
 The sign question "does the disc point down" is answered by the primary
 (quadrature) radial derivative being positive: u is harmonic with
 u(0) = 0, so a positive inward-normal derivative at the boundary
 contact pushes the interior below the surface along the x2 axis.
 
-The solves of one run differ only in the plateau height -eta delta/2,
-so everything else is computed once per run and shared: phi on the
-grid, the bump's blend weight and base-profile values (which also serve
-as the classification's undeformed heights), and |phi - center|^2.
-Each u's Fourier coefficients are computed once and read by both radial
-derivatives and the ray evaluation, and the grid keeps the ray tables
-of its last radii tuple.  All of it belongs to the run and is freed
-when it returns.
+The sweep takes at most two Bishop solves, at eta = 1 and eta = 0.  Its
+surface ignores y2, so a solve is v = T_1(trace), u = -T_1 v, linear in
+the trace, and the trace (1 - w) base + w (-eta delta / 2) is affine in
+eta.  Hence u, v, the spectral radial derivative and u along a ray are
+affine in eta, and every other cell is derived as x0 + eta (x1 - x0)
+from the two solves' values; it differs from its own solve only by
+rounding.  The cells at eta = 0 and 1 take the solves' values as they
+are.  Classification and the deepest x2 are still taken per cell, from
+the derived u, v and ray.
+
+phi on the grid, the bump's blend weight and base-profile values (which
+also serve as the classification's undeformed heights) and
+|phi - center|^2 are computed once per run.  Each u's Fourier
+coefficients are computed once and read by both radial derivatives and
+the ray evaluation, and the grid keeps the ray tables of its last radii
+tuple.  All of it belongs to the run and is freed when it returns.
 """
 
 from __future__ import annotations
@@ -97,7 +105,9 @@ class EtaCell:
     on_surface: int  # boundary nodes matching the undeformed profile height
     in_ball: int  # boundary nodes inside the delta-ball at the squeeze limit
     neither: int  # nodes in neither class; nonzero means bad geometry or an underresolved grid
-    radial_derivative: float  # spectral value at this eta (nan if unconverged)
+    # spectral value at this eta (nan if unconverged): the solve's own at eta = 0
+    # and 1, else derived from those two, as it is affine in eta (see module doc)
+    radial_derivative: float
     min_x2: float  # deepest interior x2 along the coverage radii (nan if unconverged)
 
 
@@ -116,11 +126,16 @@ class PropagationReport:
 
 
 class _Sweep:
-    """The eta-free work of one experiment, shared by its solves and cells.
+    """The work of one experiment, shared by its two solves and all its cells.
 
-    phi, the bump's blend weight and base-profile values, and
-    |phi - center|^2 are computed once; a solve only combines the weight
-    and base values with its own plateau.  All of it is freed when the
+    Premise: the surface ignores y2, so a solve is linear in the trace,
+    and the trace is affine in eta; the values of every cell then lie
+    on the line through the solves at eta = 0 and 1.  A surface that
+    couples to y2 breaks it and is refused.  phi, the bump's blend
+    weight and base-profile values, and |phi - center|^2 are computed
+    once; a solve only combines the weight and base values with its own
+    plateau.  phi and the weight serve only the solves, and the run
+    drops them before it takes the cells; the rest is freed when the
     experiment returns.
     """
 
@@ -130,6 +145,8 @@ class _Sweep:
         self.params = DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift)
         # the head problem refuses a bad alpha or window before any array is built
         head = self._problem(self._surface(1.0))
+        if getattr(head.surface, "couples_to_y2", True):
+            raise ValueError("an eta sweep needs a surface that ignores y2")
         self.phi = phi_on_grid(self.params, self.grid)
         self.weight, self.base_vals = head.surface.trace_parts(
             self.grid.theta, self.phi.values, None
@@ -162,8 +179,14 @@ class _Sweep:
         trace = surface.combine(self.weight, self.base_vals)
         return solve_bishop(self._problem(surface, phi=self.phi, trace=trace))
 
-    def cell(self, eta: float, disc: AttachedDisc) -> EtaCell:
-        """Classification, spectral radial derivative and deepest x2 of one solve.
+    def values(self, disc: AttachedDisc) -> tuple:
+        """(u, v, spectral radial derivative, u along the coverage radii) of one solve."""
+        rd = radial_derivative(disc.u, method="spectral")
+        along_ray = poisson_radial(disc.u, np.asarray(self.cfg.r_coverage), theta=0.0)
+        return disc.u.values, disc.v.values, rd, along_ray
+
+    def cell(self, eta: float, values: tuple) -> EtaCell:
+        """Classification, radial derivative and deepest x2 from one cell's values.
 
         The deformation vanishes outside its window, so nodes there still
         satisfy the undeformed height relation at the solver tolerance; the
@@ -173,53 +196,55 @@ class _Sweep:
         residual here is taken against the base profile.  The deepest x2 is
         the least u along the ray toward the contact point.
         """
-        u = disc.u.values
-        v = disc.v.values
+        u, v, rd, along_ray = values
         on_surface = np.abs(u - self.base_vals) <= self.cfg.tol
         dist = np.sqrt(self.center_dist2 + u**2 + v**2)
         in_ball = dist <= self.cfg.delta
         neither = ~(on_surface | in_ball)
-        along_ray = poisson_radial(disc.u, np.asarray(self.cfg.r_coverage), theta=0.0)
         return EtaCell(
             eta=eta,
             converged=True,
             on_surface=int(np.sum(on_surface)),
             in_ball=int(np.sum(in_ball)),
             neither=int(np.sum(neither)),
-            radial_derivative=radial_derivative(disc.u, method="spectral"),
+            radial_derivative=rd,
             min_x2=float(np.min(along_ray)),
         )
 
 
 def _head(sweep: _Sweep) -> tuple:
-    """Both radial derivatives, the transversal profile and the cell of eta = 1.
-
-    The head's own cell is taken here, so no later solve holds on to it.
-    """
+    """Quadrature radial derivative, transversal profile and cell values at eta = 1."""
     cfg = sweep.cfg
     head = sweep.solve(1.0)
-    rd_spec = radial_derivative(head.u, method="spectral")
     rd_quad = radial_derivative(head.u, method="quadrature")
     along_ray = poisson_radial(head.u, np.asarray(cfg.r_profile), theta=0.0)
     transversal = tuple(
         (float(r), float(val)) for r, val in zip(cfg.r_profile, along_ray)
     )
-    cell = sweep.cell(1.0, head) if 1.0 in cfg.eta_grid else None
-    return rd_spec, rd_quad, transversal, cell
+    return rd_quad, transversal, sweep.values(head)
 
 
 def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
     sweep = _Sweep(cfg)
-    rd_spec, rd_quad, transversal, head_cell = _head(sweep)
+    rd_quad, transversal, x1 = _head(sweep)
+    rd_spec = x1[2]
+    head_cell = sweep.cell(1.0, x1) if 1.0 in cfg.eta_grid else None
 
+    x0 = slope = None  # values at eta = 0 and x1 - x0; None when unneeded or unconverged
+    if any(eta != 1.0 for eta in cfg.eta_grid):
+        try:
+            x0 = sweep.values(sweep.solve(0.0))
+        except NotConverged:
+            pass
+        else:
+            slope = tuple(b - a for a, b in zip(x0, x1))
+    # the cells read neither the head's arrays nor what only the solves need
+    del x1, sweep.phi, sweep.weight
     cells = []
     for eta in cfg.eta_grid:
         if eta == 1.0:
             cells.append(head_cell)
-            continue
-        try:
-            cells.append(sweep.cell(eta, sweep.solve(eta)))
-        except NotConverged:
+        elif x0 is None:
             cells.append(
                 EtaCell(
                     eta=eta,
@@ -231,6 +256,10 @@ def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
                     min_x2=math.nan,
                 )
             )
+        elif eta == 0.0:
+            cells.append(sweep.cell(eta, x0))
+        else:
+            cells.append(sweep.cell(eta, tuple(a + eta * d for a, d in zip(x0, slope))))
     depths = [c.min_x2 for c in cells if c.converged]
     if not depths:
         raise NotConverged("no eta cell converged; experiment has no coverage data")

@@ -754,6 +754,77 @@ def test_only_the_chosen_subcommand_gets_its_flags(monkeypatch, capsys):
     ]
 
 
+def test_only_the_chosen_subcommand_parser_is_built(monkeypatch, capsys):
+    progs = []
+    init = cli._Parser.__init__
+
+    def recorded(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recorded)
+    rc, _, _ = run_cli(["disc", "--n", "64"], capsys)
+    assert rc == 0
+    assert progs == ["disclab", "disclab disc"]
+    progs.clear()
+    rc, _, err = run_cli(["bogus"], capsys)
+    assert rc == 1 and "invalid choice" in err
+    assert progs == ["disclab"]
+
+
+_PAYLOAD_RUNS = [
+    (["disc", "--n", "64"], ("csv", "json")),
+    (["flatness", "--s", "1"], ("csv", "json", "table")),
+    (["fa-scan", "--s", "1", "--alphas", "0.2,0.1,0.05"], ("csv", "json", "table")),
+    (["attach", "--n", "1024"], ("csv", "json")),
+    (PROPAGATE_ARGS, ("csv", "json", "table")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [(argv, fmt) for argv, formats in _PAYLOAD_RUNS for fmt in formats],
+    ids=[f"{argv[0]}-{fmt}" for argv, formats in _PAYLOAD_RUNS for fmt in formats],
+)
+def test_only_the_written_payload_is_built(argv, fmt, monkeypatch, capsys):
+    built = []
+    write_as = cli._write_as
+
+    def recording(out_path, fmt, **payloads):
+        def traced(name, build):
+            def call():
+                built.append(name)
+                return build()
+
+            return call
+
+        write_as(out_path, fmt, **{name: traced(name, fn) for name, fn in payloads.items()})
+
+    monkeypatch.setattr(cli, "_write_as", recording)
+    rc, out, _ = run_cli(argv + ["--format", fmt], capsys)
+    assert rc == 0 and out
+    assert built == [fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_propagate_builds_no_other_format(fmt, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a payload that is not written")
+
+    builders = {
+        "csv": (cli, "_propagate_columns"),
+        "json": (cli.dataclasses, "asdict"),
+        "table": (cli, "_propagate_table"),
+    }
+    for name, (owner, attr) in builders.items():
+        if name != fmt:
+            monkeypatch.setattr(owner, attr, refuse)
+    rc, out, _ = run_cli(PROPAGATE_ARGS + ["--format", fmt], capsys)
+    monkeypatch.undo()
+    assert rc == 0
+    assert out == (GOLDEN / f"propagate.{fmt}").read_text()
+
+
 # ---- documentation
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from disclab import (
+    BishopProblem,
     ExperimentConfig,
     NoAdmissibleAlpha,
     NotConverged,
@@ -143,6 +144,84 @@ def test_quadrature_matches_spectral_on_a_large_grid():
     assert rep.radial_discrepancy <= 1e-10
 
 
+# ---- the sweep derived from two solves
+
+
+def _solved_cells(cfg):
+    """Every cell from its own full solve over the sweep's surface at that eta."""
+    sweep = propagation._Sweep(cfg)
+    cells = []
+    for eta in cfg.eta_grid:
+        problem = BishopProblem(
+            grid=sweep.grid,
+            disc=sweep.params,
+            surface=sweep._surface(eta),
+            tol=cfg.tol,
+            max_iter=cfg.max_iter,
+        )
+        cells.append(sweep.cell(eta, sweep.values(bishop.solve_bishop(problem))))
+    return cells
+
+
+@pytest.mark.parametrize("s, alpha", [(1.0, 0.2), (1.0, 0.05), (0.75, 0.1), (0.5, 0.05)])
+def test_derived_cells_match_a_solve_per_eta(s, alpha):
+    cfg = ExperimentConfig(s=s, alpha=alpha, n=4096)
+    derived = run_experiment(cfg).eta_classifications
+    solved = _solved_cells(cfg)
+    assert len(derived) == len(solved) == 21
+    rd_scale = max(abs(c.radial_derivative) for c in solved)
+    x2_scale = max(abs(c.min_x2) for c in solved)
+    for got, want in zip(derived, solved):
+        assert got.eta == want.eta
+        assert (got.converged, got.on_surface, got.in_ball, got.neither) == (
+            want.converged, want.on_surface, want.in_ball, want.neither
+        )
+        assert abs(got.radial_derivative - want.radial_derivative) <= 1e-10 * rd_scale
+        assert abs(got.min_x2 - want.min_x2) <= 1e-10 * x2_scale
+        if got.eta in (0.0, 1.0):
+            assert got == want  # the solves' own values, bit for bit
+
+
+@pytest.mark.parametrize("etas, solves", [((1.0,), 1), ((-1.0, 0.0, 1.0), 2), ((-0.5, 0.5), 2)])
+def test_a_sweep_takes_at_most_two_solves(monkeypatch, etas, solves):
+    solved_etas = []
+
+    def recording_solve(problem):
+        solved_etas.append(problem.surface.eta)
+        return bishop.solve_bishop(problem)
+
+    monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096, eta_grid=etas))
+    assert solved_etas == [1.0, 0.0][:solves]
+    assert [c.eta for c in report.eta_classifications] == list(etas)
+    assert all(c.converged for c in report.eta_classifications)
+
+
+def test_a_failed_flat_solve_leaves_only_the_head_cell(monkeypatch):
+    def failing_at_zero(problem):
+        if problem.surface.eta == 0.0:
+            raise NotConverged("refused for the test")
+        return bishop.solve_bishop(problem)
+
+    monkeypatch.setattr(propagation, "solve_bishop", failing_at_zero)
+    cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096, eta_grid=(-1.0, 0.0, 0.5, 1.0))
+    report = run_experiment(cfg)
+    *lost, head = report.eta_classifications
+    for cell in lost:
+        assert not cell.converged
+        assert (cell.on_surface, cell.in_ball, cell.neither) == (0, 0, 0)
+        assert math.isnan(cell.radial_derivative) and math.isnan(cell.min_x2)
+    assert head.converged and report.coverage_min_x2 == head.min_x2
+    with pytest.raises(NotConverged, match="no eta cell converged"):
+        run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096, eta_grid=(-1.0, 0.0)))
+
+
+def test_a_sweep_refuses_a_surface_that_couples_to_y2(monkeypatch):
+    monkeypatch.setattr(profiles.BumpDeformation, "couples_to_y2", True)
+    with pytest.raises(ValueError, match="an eta sweep needs a surface that ignores y2"):
+        run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
+
+
 # ---- search over alpha
 
 
@@ -194,7 +273,7 @@ def test_diagnostics_are_computed_only_when_read(monkeypatch):
     monkeypatch.setattr(bishop, "holomorphy_defect", refuse)
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
     monkeypatch.undo()
-    assert len(report.eta_classifications) == 21 and len(discs) == 21
+    assert len(report.eta_classifications) == 21 and len(discs) == 2
     disc = discs[0]  # the eta = 1 solve
     assert disc.report.holder_seminorm == circle.holder_seminorm(disc.v)
     assert disc.report.holomorphy_defect == circle.holomorphy_defect(disc.u, disc.v)
@@ -270,9 +349,9 @@ def test_one_transform_per_function_and_one_ray_table_per_radii(monkeypatch):
     monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
     cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096)
     run_experiment(cfg)
-    assert len(discs) == 21
+    assert len(discs) == 2
     # two T_1 per solve, one coefficient rfft per u, one irfft for the quadrature
-    assert len(transformed) == 21 * 4 + 21 + 1 == 106
+    assert len(transformed) == 2 * 4 + 2 + 1 == 11
     inputs = [a for kind, a in transformed if kind == "rfft"]
     assert len({id(a) for a in inputs}) == len(inputs)
     for disc in discs:
@@ -300,6 +379,6 @@ def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
     assert report.points_down
     # phi, weight, base values, each ray table set and each u's coefficients
-    assert len(refs) >= 1 + 2 + 2 + 21
+    assert len(refs) >= 1 + 2 + 2 + 2
     alive = [ref() for ref in refs if ref() is not None]
     assert alive == []
