@@ -23,15 +23,18 @@ exact 0.0 while log_value still orders results correctly, which is what
 the dichotomy verdicts use.  A log_value above the double ceiling
 (about 709.78) gives value = inf with a finite log_value and rel_err.
 
-Adaptive Simpson bisects one level at a time, and all new nodes of a
-level (up to 2 * _MAX_OPEN) go through one vector call of
-inv_abs_im_phi_logtheta, whose cost
-at a few nodes per call is almost all call overhead.  The power
-E = inv**s and the exp after it still run per node on Python floats
-(libm pow), because np.power can round differently in the last place
-and would move the integrand's digits.  The panels, and the order in
-which their sums are added, are those of a depth-first bisection, so
-batching the nodes changes no digit of any result.
+Adaptive Simpson bisects one level at a time over every cell of a scan
+at once: all new nodes of a level (up to 2 * _MAX_OPEN), whatever their
+cells, go through one vector call of inv_abs_im_phi_logtheta with alpha
+per node, whose cost at a few nodes per call is almost all call
+overhead.  f_alpha is the one-cell case.  The power E = inv**s and the
+exp after it still run per node on Python floats (libm pow), with the
+node's own s and crest, because np.power can round differently in the
+last place and would move the integrand's digits.  Each cell's panels,
+and the order in which their sums are added, are those of a depth-first
+bisection of that cell alone, so batching changes no digit of any
+result; a cell that fails does so alone.  The crest scan, the Simpson
+budget and the truncation check stay per cell.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 import numpy as np
 
 from .disc_family import inv_abs_im_phi_logtheta
-from .exceptions import DiscLabError, QuadratureNonConvergent
+from .exceptions import QuadratureNonConvergent
 
 __all__ = [
     "FAlphaSpec",
@@ -63,8 +66,9 @@ _SCAN_STEP = 0.25
 # its crest; exp(-40) is invisible at the tolerances accepted here
 _CREST_DROP = 40.0
 
-# open Simpson panels bisected in one call of the integrand; a cell of
-# the reference grid opens at most 872 in one level
+# open Simpson panels bisected in one call of the integrand; a level of
+# the 25-cell fa-scan grid (s 0.6..2, alpha 0.2..0.0125, delta 0.8..1.2)
+# opens at most 908 over all its cells
 _MAX_OPEN = 4096
 
 
@@ -114,54 +118,72 @@ def _simpson(x0, f0, x1, f1, x2, f2):
     return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
 
-def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int = 40):
-    """Adaptive Simpson with Richardson correction; returns (value, err).
+def _adaptive_simpson(g, a, b, tol, max_depth: int = 40) -> list:
+    """Adaptive Simpson with Richardson correction over many cells at once.
 
-    The panels are those of a depth-first bisection that refines the
-    right half first, and the accepted panels are summed in that order
-    (descending left end), so the result does not depend on how the
-    nodes are batched.  g takes an array of nodes: it sees the three
-    starting nodes in one call, then the new midpoints of up to
-    _MAX_OPEN open panels of one level per call.  A level wider than
-    that is split and its right part finished first, so memory stays
-    bounded when a wide region keeps failing, and the depth guard names
-    the panel that the depth-first bisection would have reached first.
+    Cell c runs over [a[c], b[c]] to the absolute tolerance tol[c].  The
+    result holds (value, err) per cell, or the QuadratureNonConvergent of
+    a cell that passed max_depth while the others went on.  g(cells, t)
+    evaluates nodes t, each of its own cell: the three starting nodes of
+    every cell in one call, then the new midpoints of up to _MAX_OPEN
+    open panels of one level per call, whatever their cells.  Each cell's
+    panels are those of a depth-first bisection that refines the right
+    half first, summed in that order (descending left end), so batching
+    changes no cell's result.  A level wider than _MAX_OPEN is split and
+    its right part finished first, so memory stays bounded when a wide
+    region keeps failing, and the depth guard names the panel that the
+    depth-first bisection would have reached first.
     """
-    if not b > a:
-        raise ValueError(f"Simpson needs a < b, got [{a}, {b}]")
+    a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
+    for lo, hi in zip(a.tolist(), b.tolist()):
+        if not hi > lo:
+            raise ValueError(f"Simpson needs a < b, got [{lo}, {hi}]")
     span = b - a
-    nodes = np.array([a, 0.5 * (a + b), b])
-    f0, fm, f2 = g(nodes)
-    # a batch holds open panels of one depth, ascending in t, as the rows
-    # x0, xm, x2, f0, fm, f2 and the panel's Simpson estimate; the stack
-    # keeps batches left to right, so its top holds the rightmost panels
-    whole = _simpson(a, f0, nodes[1], fm, b, f2)
-    stack = [(np.array([[a], [nodes[1]], [b], [f0], [fm], [f2], [whole]]), 0)]
-    total = 0.0
-    err = 0.0
-    pending = []  # (left ends, sums, errors) of accepted panels not yet added
+    mid = 0.5 * (a + b)
+    owner = np.arange(a.size)
+    f0, fm, f2 = g(np.repeat(owner, 3), np.stack((a, mid, b), axis=1).ravel()).reshape(-1, 3).T
+    # a batch holds open panels of one depth, ordered by cell and then
+    # ascending in t, as the rows x0, xm, x2, f0, fm, f2 and the panel's
+    # Simpson estimate, with the cell of each panel beside them; the
+    # stack keeps batches left to right, so its top holds the rightmost
+    whole = _simpson(a, f0, mid, fm, b, f2)
+    stack = [(np.array([a, mid, b, f0, fm, f2, whole]), owner, 0)]
+    outcomes = [None] * a.size  # a cell's QuadratureNonConvergent once it fails
+    alive = np.ones(a.size, dtype=bool)
+    accepted = [(owner[:0], a[:0], a[:0], a[:0])]  # (cells, left ends, sums, errors)
     while stack:
-        panels, depth = stack.pop()
-        if panels.shape[1] > _MAX_OPEN:
-            half = panels.shape[1] // 2
-            stack += [(panels[:, :half], depth), (panels[:, half:], depth)]
+        panels, owner, depth = stack.pop()
+        keep = alive[owner]
+        if not keep.all():
+            panels, owner = panels[:, keep], owner[keep]
+            if not owner.size:
+                continue
+        if depth > max_depth:
+            # name each cell's rightmost panel: depth first would have reached it first
+            last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True))
+            for c, x0, x2 in zip(*(v[last].tolist() for v in (owner, panels[0], panels[2]))):
+                alive[c] = False
+                outcomes[c] = QuadratureNonConvergent(
+                    f"Simpson bisection exceeded depth {max_depth} on [{x0:.6g}, {x2:.6g}]"
+                )
+            continue
+        if owner.size > _MAX_OPEN:
+            half = owner.size // 2
+            stack += [
+                (panels[:, :half], owner[:half], depth),
+                (panels[:, half:], owner[half:], depth),
+            ]
             continue
         x0, xm, x2, f0, fm, f2, whole = panels
-        if depth > max_depth:
-            # name the rightmost panel: depth first would have reached it first
-            raise QuadratureNonConvergent(
-                f"Simpson bisection exceeded depth {max_depth} on "
-                f"[{float(x0[-1]):.6g}, {float(x2[-1]):.6g}]"
-            )
         lm = 0.5 * (x0 + xm)
         rm = 0.5 * (xm + x2)
-        f = g(np.concatenate((lm, rm)))
+        f = g(np.concatenate((owner, owner)), np.concatenate((lm, rm)))
         flm, frm = f[: lm.size], f[lm.size :]
         left = _simpson(x0, f0, lm, flm, xm, fm)
         right = _simpson(xm, fm, rm, frm, x2, f2)
         d = left + right - whole
-        ok = np.abs(d) <= 15.0 * tol * np.maximum((x2 - x0) / span, 1e-12)
-        pending.append((x0[ok], (left + right + d / 15.0)[ok], (np.abs(d) / 15.0)[ok]))
+        ok = np.abs(d) <= 15.0 * tol[owner] * np.maximum((x2 - x0) / span[owner], 1e-12)
+        accepted.append((owner[ok], x0[ok], (left + right + d / 15.0)[ok], (np.abs(d) / 15.0)[ok]))
         # each rejected panel is replaced by its left and right half
         halves = np.array(
             (
@@ -170,31 +192,20 @@ def _adaptive_simpson(g, a: float, b: float, tol: float, max_depth: int = 40):
             )
         )[:, :, ~ok]
         if halves.size:
-            stack.append((halves.transpose(1, 2, 0).reshape(7, -1), depth + 1))
-        # every panel accepted from now on lies left of the open panels
-        # on the stack, so the accepted ones at or right of them are final
-        frontier = stack[-1][0][2, -1] if stack else -math.inf
-        ends, sums, errs = (np.concatenate(col) for col in zip(*pending))
-        now = ends >= frontier
-        order = np.argsort(-ends[now], kind="stable")
-        for panel_sum, panel_err in zip(
-            sums[now][order].tolist(), errs[now][order].tolist()
-        ):
-            total += panel_sum
-            err += panel_err
-        pending = [(ends[~now], sums[~now], errs[~now])]
-    return total, err
+            halves = halves.transpose(1, 2, 0).reshape(7, -1)
+            stack.append((halves, np.repeat(owner[~ok], 2), depth + 1))
+    cells, ends, sums, errs = (np.concatenate(col) for col in zip(*accepted))
+    order = np.lexsort((-ends, cells))
+    totals = [0.0] * a.size
+    errors = [0.0] * a.size
+    for c, panel_sum, panel_err in zip(*(v[order].tolist() for v in (cells, sums, errs))):
+        totals[c] += panel_sum
+        errors[c] += panel_err
+    return [(totals[c], errors[c]) if out is None else out for c, out in enumerate(outcomes)]
 
 
-def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
-    """Evaluate F_alpha by crest-scaled adaptive Simpson quadrature.
-
-    The nodes of each Simpson level go through one vector call of
-    inv_abs_im_phi_logtheta; pow and exp run per node on Python floats,
-    because np.power can round differently in the last place.  A value
-    beyond the largest double is inf, as is abs_err; log_value and rel_err
-    stay finite.
-    """
+def _crest_scan(spec: FAlphaSpec):
+    """(t0, t_end, Simpson tol, crest, hit_cap) of one cell from its coarse scan."""
     t0 = spec.delta / spec.alpha
     cap = spec.t_max_cap
 
@@ -204,28 +215,47 @@ def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
     i_max = int(np.argmax(etas))
     crest = float(etas[i_max])
 
-    t_end = cap
-    hit_cap = True
-    for i in range(i_max + 1, len(ts)):
-        if etas[i] < crest - _CREST_DROP:
-            t_end = float(ts[i])
-            hit_cap = False
-            break
+    # the first scan node past the crest that lies _CREST_DROP below it
+    dropped = etas[i_max + 1 :] < crest - _CREST_DROP
+    hit_cap = not dropped.any()
+    t_end = cap if hit_cap else float(ts[i_max + 1 + int(np.argmax(dropped))])
     if t_end <= t0:
         t_end = min(t0 + _SCAN_STEP, cap)
 
-    def g(t: np.ndarray) -> np.ndarray:
-        inv = inv_abs_im_phi_logtheta(spec.alpha, t)
-        es = [ti - vi ** spec.s - crest for ti, vi in zip(t.tolist(), inv.tolist())]
-        return np.array([math.exp(e) if e > _LOG_TINY else 0.0 for e in es])
-
     # rough mass in crest units, to set the absolute Simpson budget
     sel = (ts >= t0) & (ts <= t_end)
-    rough = float(
-        np.trapezoid(np.exp(np.maximum(etas[sel] - crest, _LOG_TINY)), ts[sel])
-    )
-    tol = spec.rel_tol * max(rough, 1e-12)
-    integral, err = _adaptive_simpson(g, t0, float(t_end), tol)
+    rough = float(np.trapezoid(np.exp(np.maximum(etas[sel] - crest, _LOG_TINY)), ts[sel]))
+    return t0, t_end, spec.rel_tol * max(rough, 1e-12), crest, hit_cap
+
+
+def _f_alpha_cells(specs) -> list:
+    """F_alpha of every spec, integrated together by one Simpson run.
+
+    Returns a QuadratureResult per spec, or the QuadratureNonConvergent
+    of a cell whose bisection failed.  The nodes of each Simpson level,
+    of all cells, go through one vector call of inv_abs_im_phi_logtheta
+    with alpha per node; pow and exp run per node on Python floats with
+    the node's own s and crest.
+    """
+    t0, t_end, tol, crests, hit_cap = zip(*(_crest_scan(spec) for spec in specs))
+    alpha = np.array([spec.alpha for spec in specs])
+    s = [spec.s for spec in specs]
+
+    def g(cells: np.ndarray, t: np.ndarray) -> np.ndarray:
+        inv = inv_abs_im_phi_logtheta(alpha[cells], t)
+        nodes = zip(cells.tolist(), t.tolist(), inv.tolist())
+        es = (ti - vi ** s[c] - crests[c] for c, ti, vi in nodes)
+        return np.array([math.exp(e) if e > _LOG_TINY else 0.0 for e in es])
+
+    outcomes = _adaptive_simpson(g, t0, t_end, tol)
+    return [
+        out if isinstance(out, QuadratureNonConvergent) else _finish(spec, c, h, *out)
+        for spec, c, h, out in zip(specs, crests, hit_cap, outcomes)
+    ]
+
+
+def _finish(spec: FAlphaSpec, crest: float, hit_cap: bool, integral: float, err: float):
+    """The QuadratureResult of one cell from its crest-scaled integral."""
     if not (integral > 0.0):
         # the scan guarantees at least one crest-level sample, so a zero
         # here means the interval collapsed; treat as exact zero mass
@@ -242,7 +272,8 @@ def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
     else:
         abs_err = value * rel_err
     truncated = bool(
-        hit_cap and float(_log_integrand(spec, cap)) > math.log(spec.rel_tol) + log_value
+        hit_cap
+        and float(_log_integrand(spec, spec.t_max_cap)) > math.log(spec.rel_tol) + log_value
     )
     return QuadratureResult(
         value=value,
@@ -251,6 +282,19 @@ def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
         log_value=log_value,
         rel_err=rel_err,
     )
+
+
+def f_alpha(spec: FAlphaSpec) -> QuadratureResult:
+    """Evaluate F_alpha by crest-scaled adaptive Simpson quadrature.
+
+    The one-cell case of the batched quadrature that dichotomy_scan runs
+    over a whole grid, with the same digits.  A value beyond the largest
+    double is inf, as is abs_err; log_value and rel_err stay finite.
+    """
+    (res,) = _f_alpha_cells([spec])
+    if isinstance(res, QuadratureNonConvergent):
+        raise res
+    return res
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,19 +326,16 @@ def dichotomy_scan(s_values, alpha_values, delta: float) -> ScanResult:
     if any(s <= 0.5 for s in svals):
         raise ValueError("every s must exceed 1/2")
 
-    cells = []
+    # every cell is validated before any is integrated
+    specs = [FAlphaSpec(alpha=a, s=s, delta=delta) for s in svals for a in alphas]
+    results = [
+        None if isinstance(res, QuadratureNonConvergent) else res for res in _f_alpha_cells(specs)
+    ]
+    cells = [(spec.s, spec.alpha, res) for spec, res in zip(specs, results)]
     verdicts = []
-    for s in svals:
-        logs = []
-        for a in alphas:
-            try:
-                res = f_alpha(FAlphaSpec(alpha=a, s=s, delta=delta))
-            except DiscLabError:
-                cells.append((s, a, None))
-                logs.append(math.nan)
-                continue
-            cells.append((s, a, res))
-            logs.append(res.log_value)
+    for i, s in enumerate(svals):
+        row = results[i * len(alphas) : (i + 1) * len(alphas)]
+        logs = [math.nan if res is None else res.log_value for res in row]
         if any(math.isnan(x) for x in logs):
             verdicts.append((s, "inconclusive"))
             continue

@@ -111,15 +111,20 @@ def im_phi_boundary(params: DiscFamilyParams, theta):
     return phi.imag if isinstance(phi, np.ndarray) else phi.imag
 
 
-def inv_abs_im_phi_logtheta(alpha: float, t) -> np.ndarray:
+def inv_abs_im_phi_logtheta(alpha, t) -> np.ndarray:
     """1/|Im phi_alpha(e^{i theta})| with theta = e^{-t}, stable for huge t.
 
     For t > 40 the angle is so small that sin(theta/2) = theta/2 and
     theta/2 - pi/2 = -pi/2 hold to strictly better than double precision,
     so the formula continues in closed form long after e^{-t} itself
-    underflows.  Valid for e^{-t} < pi.
+    underflows.  Valid for e^{-t} < pi.  alpha is a scalar or an array
+    that broadcasts against t; each value equals the call with its own
+    scalar alpha.
     """
     tv = np.asarray(t, dtype=float)
+    if np.ndim(alpha):
+        tv, alpha = np.broadcast_arrays(tv, np.asarray(alpha, dtype=float))
+        alpha = alpha.reshape(-1)
     tt = tv.reshape(-1)  # a view when t is contiguous
     if np.any(tt <= -math.log(math.pi)):
         raise ValueError("need e^{-t} < pi, i.e. t > -log(pi)")

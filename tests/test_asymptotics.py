@@ -1,5 +1,6 @@
 """The squeezing integral: log-domain quadrature, dichotomy scan, onset tracking."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -113,6 +114,14 @@ def counted(f):
     return g, sizes
 
 
+def simpson(g, a, b, tol, **kw):
+    """One cell of the batched Simpson core; raises that cell's failure."""
+    (out,) = _adaptive_simpson(lambda cells, t: g(t), [a], [b], [tol], **kw)
+    if isinstance(out, QuadratureNonConvergent):
+        raise out
+    return out
+
+
 def depth_first_simpson(f, a, b, tol, max_depth=40):
     """The scalar, right-half-first stack bisection, as a reference.
 
@@ -151,7 +160,7 @@ def depth_first_simpson(f, a, b, tol, max_depth=40):
 
 def test_simpson_integrates_a_cubic_exactly():
     g, sizes = counted(lambda t: 2.0 * t**3 - t**2 + 3.0)
-    value, err = _adaptive_simpson(g, -1.0, 2.0, 1e-12)
+    value, err = simpson(g, -1.0, 2.0, 1e-12)
     assert value == pytest.approx(13.5, rel=1e-15)
     assert err < 1e-14
     assert sizes == [3, 2]  # the root panel is accepted on its first level
@@ -167,7 +176,7 @@ def test_simpson_integrates_a_cubic_exactly():
 )
 def test_simpson_levels_match_the_depth_first_bisection(f, a, b, tol):
     g, sizes = counted(f)
-    value, err = _adaptive_simpson(g, a, b, tol)
+    value, err = simpson(g, a, b, tol)
     ref_value, ref_err, ref_nodes, ref_deepest = depth_first_simpson(f, a, b, tol)
     # same panels, summed in the same order: equal to the last bit
     assert (value, err) == (ref_value, ref_err)
@@ -187,7 +196,7 @@ def test_simpson_depth_guard_matches_the_depth_first_bisection():
         depth_first_simpson(f, 0.0, 1.0, 1e-6, max_depth=10)
     g, _ = counted(f)
     with pytest.raises(QuadratureNonConvergent) as new:
-        _adaptive_simpson(g, 0.0, 1.0, 1e-6, max_depth=10)
+        simpson(g, 0.0, 1.0, 1e-6, max_depth=10)
     assert str(new.value) == str(ref.value)
     assert str(new.value).endswith("on [0.800293, 0.800781]")
 
@@ -204,7 +213,7 @@ def test_simpson_wide_failure_stays_bounded():
         depth_first_simpson(f, 0.0, 1.0, 1e-8)
     g, sizes = counted(f)
     with pytest.raises(QuadratureNonConvergent) as new:
-        _adaptive_simpson(g, 0.0, 1.0, 1e-8)
+        simpson(g, 0.0, 1.0, 1e-8)
     assert str(new.value) == str(ref.value)
     assert max(sizes) <= 2 * _MAX_OPEN
     assert sum(sizes) < 50 * 2 * _MAX_OPEN
@@ -218,7 +227,7 @@ def test_simpson_levels_split_like_the_depth_first_bisection(monkeypatch):
         return abs(t - 0.7) ** 1.5 + math.exp(-50.0 * (t - 0.3) ** 2)
 
     g, sizes = counted(f)
-    value, err = _adaptive_simpson(g, 0.0, 2.0, 1e-9)
+    value, err = simpson(g, 0.0, 2.0, 1e-9)
     assert max(sizes[1:]) == 2
     assert (value, err) == depth_first_simpson(f, 0.0, 2.0, 1e-9)[:2]
 
@@ -238,7 +247,7 @@ def test_empty_interval_is_refused():
     with pytest.raises(ValueError, match="not above the lower limit"):
         spec(1.0, 0.2, delta=120.0)
     with pytest.raises(ValueError, match="a < b"):
-        _adaptive_simpson(counted(math.exp)[0], 1.0, 1.0, 1e-8)
+        simpson(counted(math.exp)[0], 1.0, 1.0, 1e-8)
 
 
 def test_spec_validation_messages():
@@ -299,6 +308,70 @@ def test_scan_validation():
         dichotomy_scan([], [0.2, 0.1, 0.05], delta=1.0)
     with pytest.raises(ValueError):
         dichotomy_scan([0.5], [0.2, 0.1, 0.05], delta=1.0)
+
+
+def same_bits(got, want):
+    """QuadratureResults equal field by field to the last bit."""
+    # repr round-trips every float and tells -0.0 and nan apart
+    return all(
+        repr(getattr(got, field.name)) == repr(getattr(want, field.name))
+        for field in dataclasses.fields(want)
+    )
+
+
+def test_scan_cells_equal_their_single_cell_integrals():
+    s_values = (0.55, 0.65, 0.85, 0.9, 0.95, 3.0)
+    alphas = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002)
+    scan = dichotomy_scan(s_values, alphas, delta=1.0)
+    assert [cell[:2] for cell in scan.cells] == [(s, a) for s in s_values for a in alphas]
+    failed = []
+    for s, alpha, res in scan.cells:
+        try:
+            alone = f_alpha(spec(s, alpha))
+        except QuadratureNonConvergent:
+            assert res is None  # a cell that fails alone fails in the scan
+            failed.append((s, alpha))
+            continue
+        assert res is not None
+        assert same_bits(res, alone), (s, alpha)
+    assert failed == [(3.0, 0.002)]
+    assert dict(scan.verdicts)[3.0] == "inconclusive"
+
+
+@pytest.mark.parametrize("max_open", [_MAX_OPEN, 1])
+def test_a_failing_cell_fails_alone_in_a_batch(monkeypatch, max_open):
+    # with one open panel per call the failing cell, last in the batch,
+    # reaches the depth guard while the other cells still have open panels
+    specs = [spec(1.0, 0.2), spec(0.75, 0.0125), spec(2.0, 0.1), spec(0.55, 0.025, t_max_cap=1e5)]
+    alone = [f_alpha(sp) for sp in specs[:3]]
+    monkeypatch.setattr(asymptotics, "_MAX_OPEN", max_open)
+    results = asymptotics._f_alpha_cells(specs)
+    assert isinstance(results[3], QuadratureNonConvergent)
+    assert str(results[3]) == "Simpson bisection exceeded depth 40 on [100000, 100000]"
+    with pytest.raises(QuadratureNonConvergent, match=re.escape(str(results[3]))):
+        f_alpha(specs[3])
+    for got, want in zip(results[:3], alone):
+        assert same_bits(got, want)
+
+
+def test_a_scan_evaluates_each_simpson_level_in_one_call(monkeypatch):
+    sizes = []
+    inv_abs_im_phi_logtheta = asymptotics.inv_abs_im_phi_logtheta
+
+    def counted(alpha, t):
+        sizes.append(np.size(t))
+        return inv_abs_im_phi_logtheta(alpha, t)
+
+    monkeypatch.setattr(asymptotics, "inv_abs_im_phi_logtheta", counted)
+    scan = dichotomy_scan([0.6, 0.75, 1.0, 1.5, 2.0], [0.2, 0.1, 0.05, 0.025, 0.0125], delta=1.0)
+    cells = len(scan.cells)
+    assert cells == 25
+    # per cell: its crest scan and at most one truncation check; for the
+    # whole scan: the starting nodes, then at most one call per Simpson
+    # level up to the depth guard, where one call per cell per level
+    # would take some 300
+    assert len(sizes) <= 2 * cells + 1 + 41
+    assert max(sizes[cells + 1 :]) <= 2 * _MAX_OPEN
 
 
 # ---- positive-window onset

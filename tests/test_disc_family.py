@@ -207,6 +207,29 @@ def test_inverse_modulus_is_bitwise_the_np_where_formula(alpha):
         assert np.array_equal(np.asarray(arr), before)  # the input is not written to
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # t = 1e300 -> inf
+def test_inverse_modulus_takes_alpha_per_node():
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    alphas = np.array([0.0125, 0.1, 1.0, 0.002, 0.5])
+    mixed = np.array(_SWITCH_TS)
+    for t in (mixed, mixed[mixed > 40.0], mixed[mixed <= 40.0], mixed[4:8]):
+        # one alpha per node, across the switch at t = 40 and on either side of it
+        per_node = np.resize(alphas, t.size)
+        want = [inv_abs_im_phi_logtheta(float(a), float(x)) for a, x in zip(per_node, t)]
+        assert bits(inv_abs_im_phi_logtheta(per_node, t)) == bits(want)
+        # every alpha against every node, by broadcasting
+        grid = inv_abs_im_phi_logtheta(alphas[:, None], t)
+        assert grid.shape == (alphas.size, t.size)
+        for row, alpha in zip(grid, alphas.tolist()):
+            assert bits(row) == bits(inv_abs_im_phi_logtheta(alpha, t))
+    # a scalar t against an array of alphas
+    assert bits(inv_abs_im_phi_logtheta(alphas, 45.0)) == bits(
+        [inv_abs_im_phi_logtheta(a, 45.0) for a in alphas.tolist()]
+    )
+
+
 def test_modulus_growth_ratio_stabilizes():
     # 1/|phi(e^{i theta})| against -alpha log(theta/2): the ratio sequence over
     # theta = 10^{-2..-10} drifts down with strictly shrinking steps
