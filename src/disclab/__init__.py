@@ -13,136 +13,23 @@ profiles and their bump deformations), `bishop` (the attachment solver),
 experiment), `cli` (the command-line front end).
 """
 
-from .asymptotics import (
-    FAlphaSpec,
-    QuadratureResult,
-    ScanResult,
-    dichotomy_scan,
-    f_alpha,
-    positive_window,
-)
-from .bishop import (
-    AttachedDisc,
-    BishopProblem,
-    SolveReport,
-    attachment_residual,
-    cauchy_extend,
-    contraction_estimate,
-    phi_on_grid,
-    solve_bishop,
-)
-from .circle import (
-    BoundaryFunction,
-    CircleGrid,
-    FourierCoeffs,
-    conjugate,
-    evaluate_trig,
-    fourier_coeffs,
-    hilbert_t1,
-    holder_seminorm,
-    holomorphy_defect,
-    poisson_extend,
-    poisson_radial,
-    radial_derivative,
-    reconstruct,
-    spectral_identity_errors,
-)
-from .disc_family import (
-    SQUEEZE_LIMIT,
-    DiscFamilyParams,
-    concentration_bound_check,
-    im_phi_boundary,
-    im_phi_expansion_check,
-    inv_abs_im_phi_logtheta,
-    phi_boundary,
-    phi_eval,
-)
-from .exceptions import (
-    DiscLabError,
-    GridUnresolved,
-    NoAdmissibleAlpha,
-    NotConverged,
-    QuadratureNonConvergent,
-)
-from .profiles import (
-    KIND_ABS,
-    KIND_IM,
-    BumpDeformation,
-    FlatProfile,
-    flatness_order_check,
-    profile_eval,
-    tilde_h_eval,
-)
-from .propagation import (
-    EtaCell,
-    ExperimentConfig,
-    PropagationReport,
-    alpha_search,
-    run_experiment,
-)
+from . import asymptotics, bishop, circle, disc_family, exceptions, profiles, propagation
+from .asymptotics import *  # noqa: F401,F403
+from .bishop import *  # noqa: F401,F403
+from .circle import *  # noqa: F401,F403
+from .disc_family import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .profiles import *  # noqa: F401,F403
+from .propagation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its one export list; the package re-exports them in layer order
 __all__ = [
     "__version__",
-    # circle
-    "CircleGrid",
-    "BoundaryFunction",
-    "FourierCoeffs",
-    "conjugate",
-    "hilbert_t1",
-    "fourier_coeffs",
-    "reconstruct",
-    "poisson_extend",
-    "poisson_radial",
-    "evaluate_trig",
-    "radial_derivative",
-    "holomorphy_defect",
-    "holder_seminorm",
-    "spectral_identity_errors",
-    # disc family
-    "SQUEEZE_LIMIT",
-    "DiscFamilyParams",
-    "phi_eval",
-    "phi_boundary",
-    "im_phi_boundary",
-    "inv_abs_im_phi_logtheta",
-    "im_phi_expansion_check",
-    "concentration_bound_check",
-    # profiles
-    "KIND_IM",
-    "KIND_ABS",
-    "FlatProfile",
-    "BumpDeformation",
-    "profile_eval",
-    "tilde_h_eval",
-    "flatness_order_check",
-    # bishop
-    "BishopProblem",
-    "SolveReport",
-    "AttachedDisc",
-    "phi_on_grid",
-    "solve_bishop",
-    "contraction_estimate",
-    "attachment_residual",
-    "cauchy_extend",
-    # asymptotics
-    "FAlphaSpec",
-    "QuadratureResult",
-    "ScanResult",
-    "f_alpha",
-    "dichotomy_scan",
-    "positive_window",
-    # propagation
-    "ExperimentConfig",
-    "EtaCell",
-    "PropagationReport",
-    "run_experiment",
-    "alpha_search",
-    # exceptions
-    "DiscLabError",
-    "NotConverged",
-    "QuadratureNonConvergent",
-    "GridUnresolved",
-    "NoAdmissibleAlpha",
+    *(
+        name
+        for module in (circle, disc_family, profiles, bishop, asymptotics, propagation, exceptions)
+        for name in module.__all__
+    ),
 ]

@@ -61,7 +61,6 @@ __all__ = [
     "AttachedDisc",
     "phi_on_grid",
     "solve_bishop",
-    "contraction_estimate",
     "attachment_residual",
     "cauchy_extend",
 ]
@@ -97,7 +96,7 @@ class BishopProblem:
                     f"surface was built for alpha={self.surface.alpha}, "
                     f"disc has alpha={self.disc.alpha}"
                 )
-            # spacing <= w/16 means n >= 32 pi / w; decided in log2, as w can underflow
+            # a grid step <= w/16 means n >= 32 pi / w; decided in log2, as w can underflow
             log_w = self.surface.log_window()
             log2_needed = math.log2(32.0 * math.pi) - log_w / math.log(2.0)
             if math.log2(self.grid.n) < log2_needed:
@@ -212,34 +211,6 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
         v=vb,
     )
     return AttachedDisc(phi=phi, u=ub, v=vb, report=report, problem=p)
-
-
-def contraction_estimate(p: BishopProblem, directions: int = 8, seed: int = 0) -> float:
-    """Sampled operator norm of the iteration map's differential at v = 0.
-
-    Probes v -> T_1(h(phi, v)) along seeded random unit-sup-norm
-    directions at step 1e-6 and returns the largest response ratio.
-    Zero for any surface that ignores v.
-    """
-    if directions < 1:
-        raise ValueError(f"directions must be >= 1, got {directions}")
-    rng = np.random.default_rng(seed)
-    grid = p.grid
-    theta = grid.theta
-    phi_vals = phi_boundary(p.disc, theta)
-
-    def step(v):
-        trace = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
-        return hilbert_t1(BoundaryFunction(grid, trace)).values
-
-    base = step(np.zeros(grid.n))
-    t = 1e-6
-    best = 0.0
-    for _ in range(directions):
-        w = rng.standard_normal(grid.n)
-        w /= np.max(np.abs(w))
-        best = max(best, float(np.max(np.abs(step(t * w) - base))) / t)
-    return best
 
 
 def attachment_residual(d: AttachedDisc, surface) -> float:

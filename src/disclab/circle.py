@@ -1,8 +1,8 @@
 """Spectral toolkit on the unit circle.
 
 Uniform grids on [0, 2pi), FFT-based conjugate-function transforms,
-Poisson extension, and the radial derivative of the harmonic extension
-at the boundary point theta = 0 (tau = 1).
+the Poisson extension along a ray, and the radial derivative of the
+harmonic extension at the boundary point theta = 0 (tau = 1).
 
 Conventions.  A real grid function f with samples f_j = f(theta_j),
 theta_j = 2 pi j/n, is identified with its trigonometric interpolant
@@ -18,8 +18,7 @@ T_1 f = T f - (T f)(theta=0) is the normalization vanishing at tau = 1.
 
 Grids of any power-of-two size from 8 up are supported (2^22 works if
 you have the memory).  Transforms and both radial-derivative methods are
-O(n log n); poisson_extend and evaluate_trig are dense in angles times
-modes.
+O(n log n); poisson_radial is dense in radii times modes.
 
 A BoundaryFunction computes its Fourier coefficients once, on first
 read, and shares them read-only with every coefficient reader; a
@@ -41,23 +40,12 @@ __all__ = [
     "conjugate",
     "hilbert_t1",
     "fourier_coeffs",
-    "reconstruct",
-    "poisson_extend",
     "poisson_radial",
-    "evaluate_trig",
     "radial_derivative",
     "holomorphy_defect",
     "holder_seminorm",
     "spectral_identity_errors",
 ]
-
-# Cap on the working-set size (points x modes) of one dense evaluation
-# chunk; keeps the outer-product buffers around 64 MB.
-_EVAL_BUDGET = 1 << 22
-
-# Spectral magnitudes below this fraction of the largest are skipped in
-# dense evaluation.
-_DROP_TOL = 1e-14
 
 # Quadrature nodes on each side of theta = 0 whose numerator is summed in
 # product form rather than differenced.
@@ -84,10 +72,6 @@ class CircleGrid:
         th = 2.0 * np.pi * np.arange(self.n) / self.n
         th.flags.writeable = False
         return th
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * np.pi / self.n
 
     def _ray_tables(self, theta: float, radii: tuple) -> tuple:
         """cos(k theta), sin(k theta) and the rows r^k, k = 1..n/2, for poisson_radial.
@@ -127,10 +111,6 @@ class BoundaryFunction:
         object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "values", _frozen_samples(grid, values))
         return f
-
-    @classmethod
-    def from_callable(cls, grid: CircleGrid, fn) -> "BoundaryFunction":
-        return cls(grid, np.asarray(fn(grid.theta)))
 
     @property
     def is_real(self) -> bool:
@@ -184,10 +164,6 @@ class FourierCoeffs:
     a: np.ndarray
     b: np.ndarray
 
-    @property
-    def kmax(self) -> int:
-        return len(self.a) - 1
-
 
 def _require_real(f: BoundaryFunction, op: str) -> None:
     if not f.is_real:
@@ -221,36 +197,6 @@ def fourier_coeffs(f: BoundaryFunction) -> FourierCoeffs:
     return f.coeffs
 
 
-def reconstruct(coeffs: FourierCoeffs, grid: CircleGrid) -> BoundaryFunction:
-    """Inverse of fourier_coeffs; round-trips node values to rounding error."""
-    n = grid.n
-    if len(coeffs.a) != n // 2 + 1 or len(coeffs.b) != n // 2 + 1:
-        raise ValueError(
-            f"coefficient arrays must have length {n // 2 + 1} for this grid"
-        )
-    spec = (0.5 * n) * (coeffs.a - 1j * coeffs.b)
-    spec[0] = n * coeffs.a[0]
-    spec[-1] = n * coeffs.a[-1]
-    return BoundaryFunction._adopt(grid, np.fft.irfft(spec, n))
-
-
-def poisson_extend(f: BoundaryFunction, r: float, theta):
-    """Harmonic extension of f evaluated at radius r and angle(s) theta.
-
-    Dense in the number of requested angles times n/2 modes; meant for
-    moderate grids and verification work.  Use poisson_radial to walk a
-    single ray on large grids.
-    """
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    _require_real(f, "poisson_extend")
-    spec = np.fft.rfft(f.values)
-    spec *= r ** np.arange(len(spec), dtype=float)
-    th = np.asarray(theta, dtype=float)
-    out = _eval_halfspec(spec, f.grid.n, np.atleast_1d(th).ravel())
-    return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
-
-
 def poisson_radial(f: BoundaryFunction, radii, theta: float = 0.0) -> np.ndarray:
     """Harmonic extension along the ray at a fixed angle, vector over radii."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -260,37 +206,6 @@ def poisson_radial(f: BoundaryFunction, radii, theta: float = 0.0) -> np.ndarray
     cos_k, sin_k, powers = f.grid._ray_tables(float(theta), tuple(radii.tolist()))
     profile = c.a[1:] * cos_k + c.b[1:] * sin_k
     return c.a[0] + powers @ profile
-
-
-def _eval_halfspec(spec: np.ndarray, n: int, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the interpolant from its rfft half-spectrum at given angles.
-
-    Modes whose magnitude falls below _DROP_TOL times the largest one are
-    skipped: invisible next to double rounding, but nearly-sparse spectra
-    then evaluate in microseconds.
-    """
-    half = spec[1:].copy()
-    if len(half):
-        half[-1] *= 0.5  # Nyquist enters the 2 Re(...) form at half weight
-    mx = float(np.max(np.abs(half))) if len(half) else 0.0
-    acc = np.zeros(len(pts), dtype=complex)
-    if mx > 0.0:
-        keep = np.nonzero(np.abs(half) > _DROP_TOL * mx)[0]
-        ks = (keep + 1).astype(float)
-        coefs = half[keep]
-        chunk = max(1, _EVAL_BUDGET // max(1, len(ks)))
-        for lo in range(0, len(pts), chunk):
-            seg = pts[lo : lo + chunk]
-            acc[lo : lo + chunk] = np.exp(1j * np.multiply.outer(seg, ks)) @ coefs
-    return (spec[0].real + 2.0 * acc.real) / n
-
-
-def evaluate_trig(f: BoundaryFunction, theta):
-    """Evaluate the trigonometric interpolant of f at arbitrary angles."""
-    _require_real(f, "evaluate_trig")
-    th = np.asarray(theta, dtype=float)
-    out = _eval_halfspec(np.fft.rfft(f.values), f.grid.n, np.atleast_1d(th).ravel())
-    return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 
 def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:

@@ -291,8 +291,7 @@ def _run_disc(cfg, out_path, fmt) -> int:
 
 def _run_flatness(cfg, out_path, fmt) -> int:
     alpha = cfg["alpha"]
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    DiscFamilyParams(alpha=alpha)  # refuses an alpha outside (0, 1]
     rows = []
     orders = []  # (s, k, first and last log10 ratio, flat to order k)
     for s in cfg["s"]:

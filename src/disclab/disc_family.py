@@ -8,9 +8,11 @@ reciprocal never blows up.  As alpha shrinks, the boundary image
 concentrates on the real segment from 0 to 1/log 4, pinching the disc
 onto a slit: phi(1) = 0, phi(-1) = 1/log 4 for every alpha, and the
 imaginary part on the boundary vanishes to infinite order at tau = 1.
+The module evaluates the family on the boundary circle only, which is
+all that the Bishop solver and the asymptotic scans read.
 
-An optional real translation eps_shift moves the whole family left:
-phi -> phi - eps_shift.
+An optional real translation eps_shift >= 0, finite, moves the whole
+family left: phi -> phi - eps_shift.
 
 Boundary evaluation never forms 1 - e^{i theta} directly.  With
 w = (1 - e^{i theta})/2 one has |w| = sin(theta/2) and
@@ -30,7 +32,6 @@ hundreds.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 
@@ -40,9 +41,7 @@ __all__ = [
     "LOG4",
     "SQUEEZE_LIMIT",
     "DiscFamilyParams",
-    "phi_eval",
     "phi_boundary",
-    "im_phi_boundary",
     "inv_abs_im_phi_logtheta",
     "im_phi_expansion_check",
     "concentration_bound_check",
@@ -57,28 +56,13 @@ SQUEEZE_LIMIT = 1.0 / LOG4
 @dataclasses.dataclass(frozen=True)
 class DiscFamilyParams:
     alpha: float  # squeeze parameter in (0, 1]
-    eps_shift: float = 0.0  # real translation of the first component, >= 0
+    eps_shift: float = 0.0  # real translation of the first component, >= 0 and finite
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (self.eps_shift >= 0.0):
-            raise ValueError(f"eps_shift must be >= 0, got {self.eps_shift}")
-
-
-def phi_eval(params: DiscFamilyParams, tau: complex) -> complex:
-    """phi_alpha(tau) - eps_shift for a single point of the closed disc.
-
-    tau = 1 is a removable singularity with value -eps_shift.
-    """
-    tau = complex(tau)
-    if abs(tau) > 1.0 + 1e-12:
-        raise ValueError(f"tau must lie in the closed unit disc, |tau| = {abs(tau):.6g}")
-    w = 0.5 * (1.0 - tau)
-    if w == 0.0:
-        return complex(-params.eps_shift, 0.0)
-    d = -LOG4 + params.alpha * cmath.log(w)
-    return -1.0 / d - params.eps_shift
+        if not (0.0 <= self.eps_shift < math.inf):
+            raise ValueError(f"eps_shift must be nonnegative and finite, got {self.eps_shift}")
 
 
 def _boundary_parts(alpha: float, theta: np.ndarray):
@@ -103,12 +87,6 @@ def phi_boundary(params: DiscFamilyParams, theta) -> np.ndarray:
         im = np.where(at_one, 0.0, b / denom)
     out = re - params.eps_shift + 1j * im
     return complex(out[0]) if th.ndim == 0 else out.reshape(th.shape)
-
-
-def im_phi_boundary(params: DiscFamilyParams, theta):
-    """Imaginary part of the boundary trace; odd about theta = 0."""
-    phi = phi_boundary(params, theta)
-    return phi.imag if isinstance(phi, np.ndarray) else phi.imag
 
 
 def inv_abs_im_phi_logtheta(alpha, t) -> np.ndarray:

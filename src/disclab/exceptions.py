@@ -8,6 +8,14 @@ validation failure, but one discovered from numerical resolution
 requirements, and the CLI treats it as bad input.
 """
 
+__all__ = [
+    "DiscLabError",
+    "NotConverged",
+    "QuadratureNonConvergent",
+    "GridUnresolved",
+    "NoAdmissibleAlpha",
+]
+
 
 class DiscLabError(Exception):
     """Base class for numerical failures in this package."""

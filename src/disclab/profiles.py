@@ -1,10 +1,8 @@
 """Exponentially flat boundary profiles and the bump-deformed surface.
 
-A FlatProfile is a graph function h over the first coordinate of C^2,
-either h = exp(-1/|y1|^s) in the imaginary part alone (kind
-"exp_abs_y") or h = exp(-1/|z1|^s) in the full modulus (kind
-"exp_abs_z", a contrast profile for exploratory scans).  Both vanish to
-infinite order at the origin.
+A FlatProfile is the graph function h = exp(-1/|y1|^s) over the
+imaginary part y1 of the first coordinate of C^2 (kind "exp_abs_y", the
+only kind).  It vanishes to infinite order at the origin.
 
 A BumpDeformation dresses a profile for a specific disc parameter
 alpha: inside the window |theta| <= w, w = exp(-eps_window/(2 alpha)),
@@ -41,20 +39,15 @@ import math
 
 import numpy as np
 
-from .disc_family import DiscFamilyParams, phi_boundary
-
 __all__ = [
     "KIND_IM",
-    "KIND_ABS",
     "FlatProfile",
     "BumpDeformation",
     "profile_eval",
-    "tilde_h_eval",
     "flatness_order_check",
 ]
 
 KIND_IM = "exp_abs_y"  # h = exp(-1/|y1|^s), y1 = Im z1
-KIND_ABS = "exp_abs_z"  # h = exp(-1/|z1|^s)
 
 # Exponents below this underflow double precision; the true value is then
 # smaller than any representable positive number and 0 is the exact
@@ -75,45 +68,27 @@ class FlatProfile:
     couples_to_y2 = False  # the height depends on z1 only
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_IM, KIND_ABS):
-            raise ValueError(f"kind must be {KIND_IM!r} or {KIND_ABS!r}, got {self.kind!r}")
+        if self.kind != KIND_IM:
+            raise ValueError(f"kind must be {KIND_IM!r}, got {self.kind!r}")
         _require_positive_finite("s", self.s)
 
     def boundary_trace(self, theta, phi, y2):
         """Surface height over the disc boundary; y2 is accepted for
         signature compatibility and unused (the profile depends on z1 only)."""
-        phi = np.asarray(phi)
-        x = np.abs(phi.imag) if self.kind == KIND_IM else np.abs(phi)
-        return profile_eval(self, x, 0)
+        return profile_eval(self, np.abs(np.asarray(phi).imag))
 
 
-def profile_eval(p: FlatProfile, y1, derivative_order: int = 0):
-    """Value or derivative (order 0, 1, 2) of exp(-1/|y|^s) at y = y1.
+def profile_eval(p: FlatProfile, y1):
+    """exp(-1/|y|^s) at y = y1.
 
     The exponent is formed in log space; whenever it drops below -700 the
     result underflows doubles and 0 is returned exactly, as at y1 = 0.
-    When the value is positive, |y| >= 700^{-1/s}, which keeps every
-    power in the derivative factors finite.
     """
     y = np.asarray(y1, dtype=float)
-    yy = np.atleast_1d(y).astype(float)
-    ay = np.abs(yy)
     with np.errstate(divide="ignore", over="ignore"):
-        expo = -(ay ** -p.s)
+        expo = -(np.abs(np.atleast_1d(y)) ** -p.s)
     live = expo >= _EXP_FLOOR
-    h = np.where(live, np.exp(np.maximum(expo, _EXP_FLOOR)), 0.0)
-    if derivative_order == 0:
-        out = h
-    elif derivative_order == 1:
-        s = p.s
-        safe = np.where(live, ay, 1.0)
-        out = h * (s * safe ** (-s - 1.0)) * np.sign(yy)
-    elif derivative_order == 2:
-        s = p.s
-        safe = np.where(live, ay, 1.0)
-        out = h * (s * s * safe ** (-2.0 * s - 2.0) - s * (s + 1.0) * safe ** (-s - 2.0))
-    else:
-        raise ValueError(f"derivative_order must be 0, 1, or 2, got {derivative_order}")
+    out = np.where(live, np.exp(np.maximum(expo, _EXP_FLOOR)), 0.0)
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
@@ -183,21 +158,6 @@ class BumpDeformation:
 
     def boundary_trace(self, theta, phi, y2):
         return self.combine(*self.trace_parts(theta, phi, y2))
-
-
-def tilde_h_eval(d: BumpDeformation, theta, y2=0.0):
-    """Deformed surface height at boundary angle(s) theta in [-pi, pi].
-
-    Standalone form of BumpDeformation.boundary_trace: the first
-    component is reconstructed from d.alpha rather than passed in.
-    """
-    th = np.asarray(theta, dtype=float)
-    tt = np.atleast_1d(th).astype(float)
-    if np.any(np.abs(tt) > math.pi + 1e-12):
-        raise ValueError("theta must lie in [-pi, pi]")
-    phi = phi_boundary(DiscFamilyParams(d.alpha), np.mod(tt, 2.0 * np.pi))
-    out = np.asarray(d.boundary_trace(tt, phi, y2), dtype=float)
-    return float(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 
 def flatness_order_check(log_g, k: int, theta_grid):

@@ -83,8 +83,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.eps_shift < 0.0:
-            raise ValueError(f"eps_shift must be nonnegative, got {self.eps_shift}")
+        if not (0.0 <= self.eps_shift < math.inf):
+            raise ValueError(f"eps_shift must be nonnegative and finite, got {self.eps_shift}")
         etas = tuple(float(e) for e in self.eta_grid)
         if not etas:
             raise ValueError("eta_grid must be nonempty")

@@ -19,8 +19,6 @@ from disclab import (
     QuadratureNonConvergent,
     attachment_residual,
     cauchy_extend,
-    contraction_estimate,
-    evaluate_trig,
     hilbert_t1,
     phi_on_grid,
     poisson_radial,
@@ -220,22 +218,6 @@ def test_shared_phi_is_read_only(grid14, params01):
 
 
 # ---- a surface that actually couples to v
-
-
-def test_contraction_estimate_vacuous_without_coupling(grid14, flat_s1):
-    assert contraction_estimate(make_problem(grid14, flat_s1)) == 0.0
-
-
-def test_contraction_estimate_scales_with_coupling():
-    grid = CircleGrid(n=1 << 12)
-    estimates = {}
-    for c in (1.0, 0.5, 0.1):
-        p = make_problem(grid, CoupledSurface(c))
-        estimates[c] = contraction_estimate(p, directions=8, seed=0)
-    assert estimates[1.0] == pytest.approx(0.416481, abs=1e-6)
-    base = estimates[1.0]
-    for c in (0.5, 0.1):
-        assert estimates[c] / c == pytest.approx(base, rel=0.05)
 
 
 def test_coupled_solve_is_a_real_fixed_point():

@@ -9,15 +9,12 @@ from disclab import (
     BoundaryFunction,
     CircleGrid,
     conjugate,
-    evaluate_trig,
     fourier_coeffs,
     hilbert_t1,
     holder_seminorm,
     holomorphy_defect,
-    poisson_extend,
     poisson_radial,
     radial_derivative,
-    reconstruct,
 )
 from conftest import midpoint_radial_derivative
 
@@ -79,12 +76,22 @@ def test_adopted_arrays_are_checked_and_frozen_without_a_copy():
 # ---- conjugate function
 
 
-def band_limited(grid, rng, kmax):
+def band_limited(grid, rng, top):
+    """A random trigonometric polynomial of degree top < n/2, and its coefficients a, b."""
+    a = np.zeros(grid.n // 2 + 1)
+    b = np.zeros(grid.n // 2 + 1)
     vals = np.zeros(grid.n)
-    for k in range(1, kmax + 1):
-        c, s = rng.normal(size=2)
-        vals += c * np.cos(k * grid.theta) + s * np.sin(k * grid.theta)
-    return BoundaryFunction(grid, vals + rng.normal())
+    for k in range(1, top + 1):
+        a[k], b[k] = rng.normal(size=2)
+        vals += a[k] * np.cos(k * grid.theta) + b[k] * np.sin(k * grid.theta)
+    a[0] = rng.normal()
+    return BoundaryFunction(grid, vals + a[0]), a, b
+
+
+def mode_sum(a, b, r, theta):
+    """The harmonic extension sum_k r^k (a_k cos k theta + b_k sin k theta), term by term."""
+    k = np.arange(len(a))
+    return float(np.sum(r**k * (a * np.cos(k * theta) + b * np.sin(k * theta))))
 
 
 def test_conjugate_on_pure_modes():
@@ -110,15 +117,15 @@ def test_conjugate_kills_constants():
 def test_t1_vanishes_at_node_zero_exactly():
     g = CircleGrid(n=256)
     rng = np.random.default_rng(3)
-    f = band_limited(g, rng, 40)
+    f, _, _ = band_limited(g, rng, 40)
     assert hilbert_t1(f).values[0] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10**6), kmax=st.integers(1, 60))
-def test_double_conjugate_is_mean_minus_f(seed, kmax):
+@given(seed=st.integers(0, 10**6), top=st.integers(1, 60))
+def test_double_conjugate_is_mean_minus_f(seed, top):
     g = CircleGrid(n=256)
-    f = band_limited(g, np.random.default_rng(seed), kmax)
+    f, _, _ = band_limited(g, np.random.default_rng(seed), top)
     tt = conjugate(conjugate(f))
     target = np.mean(f.values) - f.values
     assert np.max(np.abs(tt.values - target)) <= 1e-10 * max(1.0, f.sup_norm())
@@ -141,54 +148,54 @@ def test_holomorphy_defect_examples():
 def test_poisson_center_is_mean():
     g = CircleGrid(n=128)
     rng = np.random.default_rng(11)
-    f = band_limited(g, rng, 30)
+    f, _, _ = band_limited(g, rng, 30)
     assert abs(poisson_radial(f, np.array([0.0]))[0] - np.mean(f.values)) <= 1e-13
 
 
 def test_poisson_matches_power_law_modes():
     g = CircleGrid(n=256)
     f = BoundaryFunction(g, np.cos(5 * g.theta) + 0.25 * np.sin(2 * g.theta))
-    r = 0.7
-    vals = poisson_extend(f, r, g.theta)
-    target = r**5 * np.cos(5 * g.theta) + 0.25 * r**2 * np.sin(2 * g.theta)
-    assert np.max(np.abs(vals - target)) <= 1e-13
+    radii = np.array([0.3, 0.7, 0.95])
+    for theta in (*g.theta, 0.3, 1.1, 2.5, 4.0):  # every node, and angles between them
+        vals = poisson_radial(f, radii, theta)
+        target = radii**5 * np.cos(5 * theta) + 0.25 * radii**2 * np.sin(2 * theta)
+        assert np.max(np.abs(vals - target)) <= 1e-13, theta
 
 
 def test_poisson_boundary_limit():
-    # sup error against the boundary samples must shrink as r -> 1-
+    # sup error against the boundary samples must shrink as r -> 1-; one ray per node
     g = CircleGrid(n=4096)
     f = BoundaryFunction(g, np.cos(3 * g.theta) + 0.5 * np.sin(7 * g.theta) + 0.2)
-    errs = []
-    for j in (4, 8, 12, 16):
-        vals = poisson_extend(f, 1.0 - 2.0**-j, g.theta)
-        errs.append(float(np.max(np.abs(vals - f.values))))
+    radii = 1.0 - 2.0 ** -np.array([4.0, 8.0, 12.0, 16.0])
+    rays = np.array([poisson_radial(f, radii, theta) for theta in g.theta])
+    errs = np.max(np.abs(rays - f.values[:, None]), axis=0).tolist()
     assert all(a > b for a, b in zip(errs, errs[1:])), errs
     assert errs[-1] < 2e-4
 
 
 def test_poisson_radial_consistent_with_dense_extension():
+    # against the mode sum of the coefficients f was drawn with
     g = CircleGrid(n=512)
-    f = band_limited(g, np.random.default_rng(5), 50)
-    for r in (0.3, 0.9, 0.99):
-        ray = poisson_radial(f, np.array([r]), theta=0.0)[0]
-        dense = poisson_extend(f, r, np.array([0.0]))[0]
-        assert abs(ray - dense) <= 1e-12 * max(1.0, f.sup_norm())
+    f, a, b = band_limited(g, np.random.default_rng(5), 50)
+    radii = (0.3, 0.9, 0.99)
+    for theta in (0.0, 0.7, 2.0, np.pi, 5.1):
+        ray = poisson_radial(f, np.array(radii), theta)
+        for r, got in zip(radii, ray):
+            assert abs(got - mode_sum(a, b, r, theta)) <= 1e-12 * max(1.0, f.sup_norm())
 
 
 def test_poisson_rejects_unit_radius():
     g = CircleGrid(n=64)
     f = BoundaryFunction(g, np.cos(g.theta))
-    with pytest.raises(ValueError):
-        poisson_extend(f, 1.0, g.theta)
-    with pytest.raises(ValueError):
-        poisson_radial(f, np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        poisson_radial(f, np.array([0.5, np.nan]))
+    for theta in (0.0, 1.0, np.pi):
+        for radii in ([1.0], [0.5, 1.0], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                poisson_radial(f, np.array(radii), theta)
 
 
 def test_coefficients_are_shared_and_read_only():
     g = CircleGrid(n=256)
-    f = band_limited(g, np.random.default_rng(3), 60)
+    f, _, _ = band_limited(g, np.random.default_rng(3), 60)
     c = fourier_coeffs(f)
     assert fourier_coeffs(f) is c
     with pytest.raises(ValueError, match="read-only"):
@@ -199,7 +206,7 @@ def test_coefficients_are_shared_and_read_only():
 
 def test_poisson_radial_rays_give_the_same_bits_in_any_order():
     g = CircleGrid(n=512)
-    f = band_limited(g, np.random.default_rng(7), 80)
+    f, _, _ = band_limited(g, np.random.default_rng(7), 80)
     radii = np.array([0.5, 0.9, 0.99])
     first = poisson_radial(f, radii, theta=0.3)
     poisson_radial(f, radii[:2], theta=0.3)
@@ -233,7 +240,7 @@ def test_radial_derivative_pure_modes_both_methods():
 def test_radial_derivative_against_midpoint_rule():
     # independent uniform-midpoint evaluation of the same folded integrand
     g = CircleGrid(n=1024)
-    f = band_limited(g, np.random.default_rng(7), 8)
+    f, _, _ = band_limited(g, np.random.default_rng(7), 8)
     ref = midpoint_radial_derivative(f)
     quad = radial_derivative(f, method="quadrature")
     spec = radial_derivative(f, method="spectral")
@@ -246,7 +253,7 @@ def test_radial_derivative_against_midpoint_rule():
 @given(seed=st.integers(0, 10**6))
 def test_radial_derivative_methods_agree_band_limited(seed):
     g = CircleGrid(n=512)
-    f = band_limited(g, np.random.default_rng(seed), g.n // 4)
+    f, _, _ = band_limited(g, np.random.default_rng(seed), g.n // 4)
     a = radial_derivative(f, method="spectral")
     b = radial_derivative(f, method="quadrature")
     assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
@@ -259,21 +266,20 @@ def test_radial_derivative_validates_arguments():
         radial_derivative(f, method="simpson")
 
 
-# ---- interpolation, reconstruction, seminorm
-
-
-def test_evaluate_trig_reproduces_nodes():
-    g = CircleGrid(n=128)
-    f = band_limited(g, np.random.default_rng(2), 20)
-    out = evaluate_trig(f, g.theta)
-    assert np.max(np.abs(out - f.values)) <= 1e-11 * max(1.0, f.sup_norm())
+# ---- coefficients, seminorm
 
 
 def test_fourier_roundtrip():
+    # fourier_coeffs returns the coefficients f was drawn with, and their
+    # interpolant reproduces the samples at the nodes
     g = CircleGrid(n=256)
-    f = band_limited(g, np.random.default_rng(9), 100)
-    back = reconstruct(fourier_coeffs(f), g)
-    assert np.max(np.abs(back.values - f.values)) <= 1e-11 * max(1.0, f.sup_norm())
+    f, a, b = band_limited(g, np.random.default_rng(9), 100)
+    c = fourier_coeffs(f)
+    scale = max(1.0, f.sup_norm())
+    assert np.max(np.abs(c.a - a)) <= 1e-11 * scale
+    assert np.max(np.abs(c.b - b)) <= 1e-11 * scale
+    back = np.array([mode_sum(c.a, c.b, 1.0, theta) for theta in g.theta])
+    assert np.max(np.abs(back - f.values)) <= 1e-11 * scale
 
 
 def test_holder_seminorm_scales_linearly():

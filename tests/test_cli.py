@@ -1,12 +1,14 @@
-"""End-to-end checks of the command-line front end.
+"""End-to-end checks of the command-line front end, and of the package's exports.
 
 Everything runs in-process through main(argv) so exit codes, stdout,
 stderr, and --out files can all be asserted cheaply; one subprocess
 smoke test at the bottom confirms the module entry point works.
 """
 
+import importlib
 import json
 import pathlib
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -14,6 +16,7 @@ import sys
 
 import pytest
 
+import disclab
 from disclab import cli
 from disclab.cli import dispatch, main
 
@@ -356,6 +359,15 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
         (["fa-scan", "--s", "inf"], "s must be finite and exceed 1/2"),
         (["fa-scan", "--delta", "inf"], "delta must be positive and finite, got inf"),
         (["propagate", "--s", "inf"], "s must be positive and finite, got inf"),
+        (
+            ["disc", "--eps-shift", "inf", "--n", "8"],
+            "eps_shift must be nonnegative and finite, got inf",
+        ),
+        (["attach", "--eps-shift", "inf"], "eps_shift must be nonnegative and finite, got inf"),
+        (
+            ["propagate", "--eps-shift", "inf"],
+            "eps_shift must be nonnegative and finite, got inf",
+        ),
     ],
     ids=[
         "attach-window-underflow",
@@ -368,6 +380,9 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
         "fa-scan-s-inf",
         "fa-scan-delta-inf",
         "propagate-s-inf",
+        "disc-eps-shift-inf",
+        "attach-eps-shift-inf",
+        "propagate-eps-shift-inf",
     ],
 )
 def test_unusable_window_or_nonfinite_parameter_is_a_validation_error(argv, message, capsys):
@@ -823,6 +838,23 @@ def test_propagate_builds_no_other_format(fmt, monkeypatch, capsys):
     monkeypatch.undo()
     assert rc == 0
     assert out == (GOLDEN / f"propagate.{fmt}").read_text()
+
+
+# ---- package exports
+
+
+def test_package_reexports_each_module_export_list():
+    # every library module's __all__ resolves on the package; the front end is not re-exported
+    names = []
+    for info in pkgutil.iter_modules(disclab.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"disclab.{info.name}")
+        for name in module.__all__:
+            assert getattr(disclab, name) is getattr(module, name), (info.name, name)
+        names.extend(module.__all__)
+    assert len(disclab.__all__) == len(set(disclab.__all__))
+    assert sorted(disclab.__all__) == sorted(["__version__", *names])
 
 
 # ---- documentation

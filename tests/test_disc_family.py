@@ -9,28 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab import (
+    LOG4,
     SQUEEZE_LIMIT,
     CircleGrid,
     DiscFamilyParams,
     concentration_bound_check,
-    im_phi_boundary,
     im_phi_expansion_check,
     inv_abs_im_phi_logtheta,
     phi_boundary,
-    phi_eval,
 )
-from disclab.disc_family import LOG4
 
 
 # ---- pointwise values
-
-
-def test_center_value_matches_closed_form():
-    # mean of 1/log((1-tau)/2) over the circle; closed form 1/(log 4 + alpha log 2)
-    # evaluated for the alpha-free map is 1/log 4, and the family inherits the
-    # alpha scaling inside the log; 50-digit arithmetic pins the double below.
-    val = phi_eval(DiscFamilyParams(alpha=0.1), 0.0)
-    assert abs(complex(val) - 0.6869976385185540) <= 1e-15
 
 
 def test_boundary_at_minus_one_is_squeeze_limit():
@@ -44,7 +34,6 @@ def test_boundary_at_minus_one_is_squeeze_limit():
 def test_tau_one_is_removable_zero():
     par = DiscFamilyParams(alpha=0.1)
     assert phi_boundary(par, np.array([0.0]))[0] == 0.0
-    assert phi_eval(par, 1.0) == 0.0
 
 
 def test_boundary_matches_extended_precision():
@@ -59,18 +48,14 @@ def test_boundary_matches_extended_precision():
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), theta
 
 
-def test_phi_eval_rejects_exterior_points():
-    with pytest.raises(ValueError):
-        phi_eval(DiscFamilyParams(alpha=0.1), 1.5)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         DiscFamilyParams(alpha=0.0)
     with pytest.raises(ValueError):
         DiscFamilyParams(alpha=1.5)
-    with pytest.raises(ValueError):
-        DiscFamilyParams(alpha=0.1, eps_shift=-0.2)
+    for bad in (-0.2, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps_shift must be nonnegative and finite"):
+            DiscFamilyParams(alpha=0.1, eps_shift=bad)
 
 
 # ---- squeezing geometry
@@ -81,7 +66,7 @@ def test_im_phi_peak_shrinks_with_alpha():
     peaks = []
     for alpha in (0.2, 0.1, 0.05):
         par = DiscFamilyParams(alpha=alpha)
-        peaks.append(float(np.max(np.abs(im_phi_boundary(par, g.theta)))))
+        peaks.append(float(np.max(np.abs(phi_boundary(par, g.theta).imag))))
     for got, want in zip(peaks, (0.0933882, 0.0568212, 0.0325412)):
         assert abs(got - want) <= 1e-6
     assert peaks[0] > peaks[1] > peaks[2]
@@ -89,7 +74,7 @@ def test_im_phi_peak_shrinks_with_alpha():
 
 def test_im_phi_is_odd():
     g = CircleGrid(n=4096)
-    iv = im_phi_boundary(DiscFamilyParams(alpha=0.1), g.theta)
+    iv = phi_boundary(DiscFamilyParams(alpha=0.1), g.theta).imag
     assert np.max(np.abs(iv[1:] + iv[:0:-1])) <= 1e-14
 
 
@@ -142,7 +127,7 @@ def test_inverse_modulus_log_parametrization_roundtrip():
         if t <= 600.0 and math.exp(-t) > 0.0:
             theta = math.exp(-t)
             if theta > 1e-300:
-                ref = 1.0 / abs(im_phi_boundary(par, np.array([theta]))[0])
+                ref = 1.0 / abs(phi_boundary(par, np.array([theta]))[0].imag)
                 assert abs(direct - ref) <= 1e-9 * ref, t
 
 

@@ -12,13 +12,10 @@ from disclab import (
     BumpDeformation,
     DiscFamilyParams,
     FlatProfile,
-    KIND_ABS,
     KIND_IM,
     flatness_order_check,
-    im_phi_boundary,
     phi_boundary,
     profile_eval,
-    tilde_h_eval,
 )
 
 
@@ -33,7 +30,7 @@ def test_profile_trivial_values():
 
 def test_profile_log_space_evaluation_deep():
     # e^{-100} via the log-space path, pinned by 50-digit arithmetic
-    p = FlatProfile(kind=KIND_ABS, s=2.0)
+    p = FlatProfile(kind=KIND_IM, s=2.0)
     with mpmath.workdps(50):
         want = float(mpmath.exp(-100))
     got = profile_eval(p, 0.1)
@@ -47,22 +44,6 @@ def test_profile_validation():
         FlatProfile(kind="other", s=1.0)
     with pytest.raises(ValueError):
         FlatProfile(kind=KIND_IM, s=0.0)
-    with pytest.raises(ValueError):
-        profile_eval(FlatProfile(kind=KIND_IM, s=1.0), 0.5, derivative_order=3)
-
-
-def test_profile_derivatives_match_finite_differences():
-    p = FlatProfile(kind=KIND_IM, s=1.0)
-    for y in (0.3, 0.7, 1.5):
-        h = 1e-6 * y
-        d1 = (profile_eval(p, y + h) - profile_eval(p, y - h)) / (2 * h)
-        assert abs(profile_eval(p, y, 1) - d1) <= 1e-7 * max(1.0, abs(d1))
-        # wider step for the second difference: at 1e-6 it is rounding noise
-        h = 1e-4 * y
-        d2 = (
-            profile_eval(p, y + h) - 2 * profile_eval(p, y) + profile_eval(p, y - h)
-        ) / h**2
-        assert abs(profile_eval(p, y, 2) - d2) <= 1e-5 * max(1.0, abs(d2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,7 +59,7 @@ def test_profile_even_and_monotone(s, y, scale):
 
 
 def test_profile_underflow_region_is_flat_zero():
-    p = FlatProfile(kind=KIND_ABS, s=2.0)
+    p = FlatProfile(kind=KIND_IM, s=2.0)
     assert profile_eval(p, 0.01) == 0.0
     assert profile_eval(p, 0.02) == 0.0
 
@@ -96,6 +77,12 @@ def bump(eta=1.0, delta=0.2, eps_window=0.2, alpha=0.1, s=1.0):
     )
 
 
+def trace_at(d, theta):
+    """The bump's height at boundary angle(s) theta, over the disc it dresses."""
+    phi = phi_boundary(DiscFamilyParams(d.alpha), np.mod(theta, 2.0 * math.pi))
+    return d.boundary_trace(theta, phi, None)
+
+
 def test_window_and_plateau_accessors():
     d = bump()
     assert abs(d.window() - math.exp(-1.0)) <= 1e-16
@@ -105,14 +92,9 @@ def test_window_and_plateau_accessors():
 
 def test_tilde_h_endpoint_values():
     d = bump()
-    assert tilde_h_eval(d, 0.0) == 0.0
-    assert abs(tilde_h_eval(d, math.pi) - (-0.1)) <= 1e-16
-    assert abs(tilde_h_eval(d, -math.pi) - (-0.1)) <= 1e-16
-
-
-def test_tilde_h_domain_check():
-    with pytest.raises(ValueError):
-        tilde_h_eval(bump(), 3.2)
+    assert trace_at(d, 0.0) == 0.0
+    assert abs(trace_at(d, math.pi) - (-0.1)) <= 1e-16
+    assert abs(trace_at(d, -math.pi) - (-0.1)) <= 1e-16
 
 
 def test_eta_zero_splits_cleanly():
@@ -122,18 +104,18 @@ def test_eta_zero_splits_cleanly():
     base = FlatProfile(kind=KIND_IM, s=1.0)
     par = DiscFamilyParams(alpha=0.1)
     for th in (0.25 * w, 0.9 * w):
-        y1 = float(im_phi_boundary(par, np.array([th]))[0])
-        assert abs(tilde_h_eval(d, th) - profile_eval(base, y1)) <= 1e-18
-    assert tilde_h_eval(d, 3.0) == 0.0
-    assert tilde_h_eval(d, 2.0 * w * 1.001) == 0.0
+        y1 = float(phi_boundary(par, np.array([th]))[0].imag)
+        assert abs(trace_at(d, th) - profile_eval(base, y1)) <= 1e-18
+    assert trace_at(d, 3.0) == 0.0
+    assert trace_at(d, 2.0 * w * 1.001) == 0.0
 
 
 def test_surface_is_affine_in_eta():
     d_plus, d_zero, d_minus = bump(1.0), bump(0.0), bump(-1.0)
     th = np.linspace(-math.pi, math.pi, 2001)
-    h1 = np.asarray(tilde_h_eval(d_plus, th))
-    h0 = np.asarray(tilde_h_eval(d_zero, th))
-    hm = np.asarray(tilde_h_eval(d_minus, th))
+    h1 = np.asarray(trace_at(d_plus, th))
+    h0 = np.asarray(trace_at(d_zero, th))
+    hm = np.asarray(trace_at(d_minus, th))
     assert np.max(np.abs(h1 + hm - 2.0 * h0)) <= 1e-15
 
 
@@ -145,9 +127,9 @@ def test_junction_smoothness():
     u = 3e-4
     for edge in (w, 2.0 * w):
         rel = u * edge
-        inner = [tilde_h_eval(d, edge - 2 * rel), tilde_h_eval(d, edge - rel)]
-        at = tilde_h_eval(d, edge)
-        outer = [tilde_h_eval(d, edge + rel), tilde_h_eval(d, edge + 2 * rel)]
+        inner = [trace_at(d, edge - 2 * rel), trace_at(d, edge - rel)]
+        at = trace_at(d, edge)
+        outer = [trace_at(d, edge + rel), trace_at(d, edge + 2 * rel)]
         assert abs(inner[1] - outer[0]) <= 1e-8
         d1_in = (at - inner[1]) / rel
         d1_out = (outer[0] - at) / rel
@@ -205,7 +187,7 @@ def composed_log_im(alpha, s):
     par = DiscFamilyParams(alpha=alpha)
 
     def log_g(theta):
-        y1 = float(im_phi_boundary(par, np.array([theta]))[0])
+        y1 = float(phi_boundary(par, np.array([theta]))[0].imag)
         return -(abs(y1) ** -s)
 
     return log_g

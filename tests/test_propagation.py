@@ -60,6 +60,9 @@ def test_config_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 ExperimentConfig(**{"s": 1.0, "alpha": 0.1, name: bad})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps_shift must be nonnegative and finite"):
+            ExperimentConfig(s=1.0, alpha=0.1, eps_shift=bad)
 
 
 # ---- the flagship run: s = 1, alpha = 0.2
