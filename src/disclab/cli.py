@@ -14,10 +14,10 @@ flags; one parameter spec per subcommand (`_SUBCOMMANDS`) drives all
 three.  Data goes to --out (default standard output) as CSV or JSON,
 or, for `flatness`, `fa-scan` and `propagate`, as a human-readable
 table; progress and verdict messages go to standard error.  CSV is
-formatted column by column and written as it is formatted, a block of
-rows at a time, so the whole text is never held at once.  Outputs are
-deterministic: the same resolved configuration produces byte-identical
-bytes.
+formatted and written a block of rows at a time, so the whole text is
+never held at once; float columns go through `_floattext.encode`, whose
+bytes are those of `repr`.  Outputs are deterministic: the same
+resolved configuration produces byte-identical bytes.
 
 Exit codes: 0 success, 1 validation error (bad flag or config values,
 unresolvable grids), 2 numerical failure (non-convergence), with the
@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._floattext import encode
 from .asymptotics import FAlphaSpec, dichotomy_scan
 from .bishop import BishopProblem, attachment_residual, solve_bishop
 from .circle import CircleGrid, spectral_identity_errors
@@ -176,20 +177,32 @@ def _jsonable(x):
     return x
 
 
-def _csv_cells(column) -> list:
-    """One CSV column as text: floats by repr, bools as true/false, ints by str."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return list(map(repr, column.tolist()))
-    return [_fmt(v) for v in column]
-
-
 def _csv_chunks(header, columns):
     """The CSV text of `columns` under `header`, _CSV_CHUNK_ROWS rows at a time."""
     yield ",".join(header) + "\n"
     n = min(map(len, columns), default=0)
     for lo in range(0, n, _CSV_CHUNK_ROWS):
-        cells = [_csv_cells(col[lo : lo + _CSV_CHUNK_ROWS]) for col in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield _csv_rows([col[lo : lo + _CSV_CHUNK_ROWS] for col in columns])
+
+
+def _csv_rows(columns) -> str:
+    """Equal-length columns as CSV rows, each column as a NUL-padded byte matrix.
+
+    Float arrays go through one `encode` call (each value's repr), other
+    columns through _fmt; a row joins the matrices and drops the NULs.
+    """
+    rows = len(columns[0])
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    if any(floats):
+        stacked = np.stack([c for c, f in zip(columns, floats) if f], axis=1, dtype=np.float64)
+        encoded = iter(np.split(encode(stacked).reshape(rows, -1), sum(floats), axis=1))
+    blocks = []
+    for column, is_float in zip(columns, floats):
+        cells = next(encoded) if is_float else np.array([_fmt(v) for v in column], "S")
+        blocks += [cells.view(np.uint8).reshape(rows, -1), np.full((rows, 1), ord(","), np.uint8)]
+    blocks[-1][:] = ord("\n")
+    text = np.concatenate(blocks, axis=1)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _emit_json(obj) -> str:

@@ -16,7 +16,6 @@ from disclab import (
     DiscFamilyParams,
     FlatProfile,
     KIND_IM,
-    fourier_coeffs,
     solve_bishop,
 )
 
@@ -43,22 +42,21 @@ def undeformed_disc(grid14, params01, flat_s1):
     return solve_bishop(p)
 
 
-def midpoint_radial_derivative(f, m: int = 1 << 18) -> float:
+def midpoint_radial_derivative(a, m: int = 1 << 18) -> float:
     """Uniform midpoint rule on [0, pi] for the folded radial-derivative integrand.
 
+    `a` holds the cosine coefficients a_k of a trigonometric polynomial
+    (a[0] is not used); the odd part does not enter the integrand.
     Independent cross-check for the library quadrature: same even-part
-    identity, completely different mesh and rule.
+    identity, completely different mesh and rule, and the coefficients as
+    drawn rather than read back off an FFT.
     """
-    c = fourier_coeffs(f)
-    k = np.arange(1, len(c.a), dtype=float)
-    a = c.a[1:]
-    live = np.abs(a) > 0
-    k, a = k[live], a[live]
+    k = np.flatnonzero(a[1:]) + 1
     h = np.pi / m
     th = (np.arange(m) + 0.5) * h
     acc = np.zeros(m)
-    for kk, aa in zip(k, a):
-        acc += aa * np.sin(0.5 * kk * th) ** 2
+    for kk in k:
+        acc += a[kk] * np.sin(0.5 * kk * th) ** 2
     total = float(np.sum(2.0 * acc / np.sin(0.5 * th) ** 2) * h)
     return total / (2.0 * np.pi)
 

@@ -7,6 +7,7 @@ smoke test at the bottom confirms the module entry point works.
 
 import importlib
 import json
+import math
 import pathlib
 import pkgutil
 import re
@@ -14,6 +15,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import disclab
@@ -673,6 +675,28 @@ def test_csv_chunk_size_leaves_the_bytes(chunk_rows, monkeypatch, capsys):
         rc, out, _ = run_cli(argv, capsys)
         assert rc == 0
         assert out == (GOLDEN / golden).read_text(), golden
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+def test_csv_writer_mixed_and_special_columns(chunk_rows, tmp_path, monkeypatch):
+    # no golden file holds these: nan, +-inf, -0.0, subnormals and both
+    # notations, beside int, bool and tuple columns; the reference is the
+    # per-row repr/str formula
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+    special += [1e-5, 1e-4, 0.1, -1.5, 1e16, 9999999999999998.0, 1e22, 2.0**53 + 2, -1.8e308]
+    spread = np.random.default_rng(5).standard_normal(23) * 10.0 ** np.arange(-11, 12)
+    floats = np.concatenate([special, spread])
+    ints = np.arange(len(floats)) - 20
+    flags = ints % 3 == 0
+    backwards = tuple(floats[::-1].tolist())
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    out_file = tmp_path / "mixed.csv"
+    cli._write_csv(str(out_file), ("x", "k", "flag", "y"), (floats, ints, flags, backwards))
+    rows = [
+        ",".join([repr(float(x)), str(k), "true" if f else "false", repr(y)])
+        for x, k, f, y in zip(floats, ints, flags, backwards)
+    ]
+    assert out_file.read_text() == "x,k,flag,y\n" + "".join(row + "\n" for row in rows)
 
 
 def test_attach_csv_on_stdout_is_the_out_file_written_in_row_chunks(tmp_path, monkeypatch):
