@@ -44,8 +44,9 @@ import math
 
 import numpy as np
 
-from .disc_family import inv_abs_im_phi_logtheta
+from .disc_family import inv_abs_im_phi_logtheta, require_alpha, require_decreasing
 from .exceptions import QuadratureNonConvergent
+from .profiles import require_positive_finite
 
 __all__ = [
     "FAlphaSpec",
@@ -81,15 +82,13 @@ class FAlphaSpec:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        require_alpha(self.alpha)
         if not (0.5 < self.s < math.inf):
             raise ValueError(
                 f"s must be finite and exceed 1/2 (the composed profile is not flat below), "
                 f"got {self.s}"
             )
-        if not (0.0 < self.delta < math.inf):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        require_positive_finite("delta", self.delta)
         if not (self.t_max_cap > self.delta / self.alpha):
             raise ValueError(
                 f"t_max_cap {self.t_max_cap} is not above the lower limit "
@@ -318,15 +317,12 @@ def dichotomy_scan(s_values, alpha_values, delta: float) -> ScanResult:
     alphas = [float(a) for a in alpha_values]
     if len(alphas) < 3:
         raise ValueError("need at least 3 alpha values")
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alpha values must be strictly decreasing")
+    require_decreasing(alphas)
     svals = [float(s) for s in s_values]
     if not svals:
         raise ValueError("need at least one s value")
-    if any(s <= 0.5 for s in svals):
-        raise ValueError("every s must exceed 1/2")
 
-    # every cell is validated before any is integrated
+    # every cell, s > 1/2 included, is validated before any is integrated
     specs = [FAlphaSpec(alpha=a, s=s, delta=delta) for s in svals for a in alphas]
     results = [
         None if isinstance(res, QuadratureNonConvergent) else res for res in _f_alpha_cells(specs)

@@ -45,6 +45,7 @@ from .disc_family import (
     concentration_bound_check,
     inv_abs_im_phi_logtheta,
     phi_boundary,
+    require_concentration_delta,
 )
 from .exceptions import DiscLabError
 from .profiles import KIND_IM, BumpDeformation, FlatProfile, flatness_order_check
@@ -270,6 +271,7 @@ def _run_selftest(cfg, out_path, fmt) -> int:
 
 def _run_disc(cfg, out_path, fmt) -> int:
     params = DiscFamilyParams(alpha=cfg["alpha"], eps_shift=cfg["eps_shift"])
+    require_concentration_delta(cfg["delta"])  # refused even where the check is skipped
     grid = CircleGrid(n=cfg["n"])
     phi = phi_boundary(params, grid.theta)
     concentrated = None
@@ -400,7 +402,7 @@ def _run_attach(cfg, out_path, fmt) -> int:
     wants_bump = bool(bump)
     if wants_bump:
         # an unset bump size is the experiment's ball radius, as in `propagate`
-        bump.setdefault("delta", _dataclass_param(ExperimentConfig, "delta").default)
+        bump.setdefault("delta", ExperimentConfig.delta)
         surface = BumpDeformation(base=base, alpha=cfg["alpha"], **bump)
     else:
         surface = base
@@ -447,8 +449,7 @@ def _run_attach(cfg, out_path, fmt) -> int:
 
 
 def _run_propagate(cfg, out_path, fmt) -> int:
-    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    kwargs = {key: cfg[key] for key in fields if key in cfg}
+    kwargs = {key: cfg[key] for key in cfg if key not in ("alphas", "etas")}
     if cfg["etas"] is not None:
         kwargs["eta_grid"] = tuple(cfg["etas"])
     xcfg = ExperimentConfig(**kwargs)
@@ -525,8 +526,7 @@ class _Subcommand(NamedTuple):
 
 def _dataclass_param(cls, name: str) -> _Param:
     """Parameter `name` with the default (and so the kind) that dataclass `cls` gives it."""
-    default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
-    return _Param(name, type(default), default)
+    return _Param(name, type(getattr(cls, name)), getattr(cls, name))
 
 
 _S = _Param("s", float, 1.0)
@@ -589,7 +589,6 @@ _SUBCOMMANDS = {
             _dataclass_param(ExperimentConfig, "n"),
             _dataclass_param(ExperimentConfig, "tol"),
             _dataclass_param(ExperimentConfig, "max_iter"),
-            _Param("seed", int, None, "unused; accepted so older command lines still parse"),
         ),
     ),
 }

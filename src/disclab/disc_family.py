@@ -53,14 +53,28 @@ LOG4 = math.log(4.0)
 SQUEEZE_LIMIT = 1.0 / LOG4
 
 
+def require_alpha(alpha) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def require_decreasing(alphas) -> None:
+    if not all(b < a for a, b in zip(alphas, alphas[1:])):  # a NaN fails every b < a
+        raise ValueError(f"alpha values must be strictly decreasing, got {alphas}")
+
+
+def require_concentration_delta(delta) -> None:
+    if not (0.0 < delta < SQUEEZE_LIMIT):
+        raise ValueError(f"delta must lie in (0, 1/log 4), got {delta}")
+
+
 @dataclasses.dataclass(frozen=True)
 class DiscFamilyParams:
     alpha: float  # squeeze parameter in (0, 1]
     eps_shift: float = 0.0  # real translation of the first component, >= 0 and finite
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        require_alpha(self.alpha)
         if not (0.0 <= self.eps_shift < math.inf):
             raise ValueError(f"eps_shift must be nonnegative and finite, got {self.eps_shift}")
 
@@ -173,8 +187,7 @@ def concentration_bound_check(params: DiscFamilyParams, delta: float, samples: i
     """
     if params.eps_shift != 0.0:
         raise ValueError("concentration check requires eps_shift = 0")
-    if not (0.0 < delta < SQUEEZE_LIMIT):
-        raise ValueError(f"delta must lie in (0, 1/log 4), got {delta}")
+    require_concentration_delta(delta)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     cutoff = math.exp(-delta / params.alpha)

@@ -39,6 +39,8 @@ import math
 
 import numpy as np
 
+from .disc_family import require_alpha
+
 __all__ = [
     "KIND_IM",
     "FlatProfile",
@@ -55,9 +57,14 @@ KIND_IM = "exp_abs_y"  # h = exp(-1/|y1|^s), y1 = Im z1
 _EXP_FLOOR = -700.0
 
 
-def _require_positive_finite(name: str, value) -> None:
+def require_positive_finite(name: str, value) -> None:
     if not (0.0 < value < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def require_eta(eta) -> None:
+    if not (-1.0 <= eta <= 1.0):
+        raise ValueError(f"eta must lie in [-1, 1], got {eta}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +77,7 @@ class FlatProfile:
     def __post_init__(self) -> None:
         if self.kind != KIND_IM:
             raise ValueError(f"kind must be {KIND_IM!r}, got {self.kind!r}")
-        _require_positive_finite("s", self.s)
+        require_positive_finite("s", self.s)
 
     def boundary_trace(self, theta, phi, y2):
         """Surface height over the disc boundary; y2 is accepted for
@@ -123,14 +130,12 @@ class BumpDeformation:
         return getattr(self.base, "couples_to_y2", True)
 
     def __post_init__(self) -> None:
-        _require_positive_finite("delta", self.delta)
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        require_positive_finite("delta", self.delta)
+        require_alpha(self.alpha)
         if self.eps_window is None:
             object.__setattr__(self, "eps_window", float(self.delta))
-        _require_positive_finite("eps_window", self.eps_window)
-        if not (-1.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must lie in [-1, 1], got {self.eta}")
+        require_positive_finite("eps_window", self.eps_window)
+        require_eta(self.eta)
 
     def log_window(self) -> float:
         """log of window(); finite where the window itself underflows to 0."""

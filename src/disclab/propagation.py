@@ -44,9 +44,9 @@ import numpy as np
 
 from .bishop import AttachedDisc, BishopProblem, phi_on_grid, solve_bishop
 from .circle import CircleGrid, poisson_radial, radial_derivative
-from .disc_family import SQUEEZE_LIMIT, DiscFamilyParams
+from .disc_family import SQUEEZE_LIMIT, DiscFamilyParams, require_decreasing
 from .exceptions import NoAdmissibleAlpha, NotConverged
-from .profiles import KIND_IM, BumpDeformation, FlatProfile
+from .profiles import KIND_IM, BumpDeformation, FlatProfile, require_eta
 from .profiles import profile_eval  # noqa: F401  (perfbench/tracing.py binds this name)
 
 __all__ = [
@@ -58,44 +58,41 @@ __all__ = [
 ]
 
 
-def _default_eta_grid() -> tuple:
-    return tuple(float(x) for x in np.linspace(-1.0, 1.0, 21))
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     s: float
     alpha: float
     delta: float = 0.2  # ball radius and default bump window exponent
-    eps_window: float | None = None  # bump window exponent; None copies delta
-    eps_shift: float = 0.0
-    eta_grid: tuple = dataclasses.field(default_factory=_default_eta_grid)
+    eps_window: float | None = BumpDeformation.eps_window  # bump window exponent; None copies delta
+    eps_shift: float = DiscFamilyParams.eps_shift
+    eta_grid: tuple = tuple(float(x) for x in np.linspace(-1.0, 1.0, 21))
     n: int = 1 << 14
-    tol: float = 1e-12
-    max_iter: int = 64
+    tol: float = BishopProblem.tol
+    max_iter: int = BishopProblem.max_iter
     r_profile: tuple = (0.9, 0.99, 0.999, 0.9999)
     r_coverage: tuple = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        for name in ("s", "delta", "eps_window"):
-            value = getattr(self, name)
-            if value is not None and not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (0.0 <= self.eps_shift < math.inf):
-            raise ValueError(f"eps_shift must be nonnegative and finite, got {self.eps_shift}")
-        etas = tuple(float(e) for e in self.eta_grid)
-        if not etas:
+        # the disc and the bump refuse their own bad parameters
+        DiscFamilyParams(alpha=self.alpha, eps_shift=self.eps_shift)
+        _surface(self, 1.0)
+        object.__setattr__(self, "eta_grid", tuple(float(e) for e in self.eta_grid))
+        if not self.eta_grid:
             raise ValueError("eta_grid must be nonempty")
-        if any(abs(e) > 1.0 for e in etas):
-            raise ValueError("every eta must lie in [-1, 1]")
-        object.__setattr__(self, "eta_grid", etas)
+        for eta in self.eta_grid:
+            require_eta(eta)
         if any(not (0.0 < r < 1.0) for r in self.r_profile + self.r_coverage):
             raise ValueError("interior radii must lie in (0, 1)")
 
-    def window_exponent(self) -> float:
-        return self.delta if self.eps_window is None else self.eps_window
+
+def _surface(cfg: ExperimentConfig, eta: float) -> BumpDeformation:
+    return BumpDeformation(
+        base=FlatProfile(kind=KIND_IM, s=cfg.s),
+        delta=cfg.delta,
+        alpha=cfg.alpha,
+        eps_window=cfg.eps_window,
+        eta=eta,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,8 +140,8 @@ class _Sweep:
         self.cfg = cfg
         self.grid = CircleGrid(n=cfg.n)
         self.params = DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift)
-        # the head problem refuses a bad alpha or window before any array is built
-        head = self._problem(self._surface(1.0))
+        # the head problem refuses a bad tol or an unresolved window before any array is built
+        head = self._problem(_surface(cfg, 1.0))
         if getattr(head.surface, "couples_to_y2", True):
             raise ValueError("an eta sweep needs a surface that ignores y2")
         self.phi = phi_on_grid(self.params, self.grid)
@@ -153,16 +150,6 @@ class _Sweep:
         )
         center = SQUEEZE_LIMIT - cfg.eps_shift
         self.center_dist2 = np.abs(self.phi.values - center) ** 2
-
-    def _surface(self, eta: float) -> BumpDeformation:
-        cfg = self.cfg
-        return BumpDeformation(
-            base=FlatProfile(kind=KIND_IM, s=cfg.s),
-            delta=cfg.delta,
-            alpha=cfg.alpha,
-            eps_window=cfg.window_exponent(),
-            eta=eta,
-        )
 
     def _problem(self, surface: BumpDeformation, **shared) -> BishopProblem:
         return BishopProblem(
@@ -175,7 +162,7 @@ class _Sweep:
         )
 
     def solve(self, eta: float) -> AttachedDisc:
-        surface = self._surface(eta)
+        surface = _surface(self.cfg, eta)
         trace = surface.combine(self.weight, self.base_vals)
         return solve_bishop(self._problem(surface, phi=self.phi, trace=trace))
 
@@ -288,8 +275,7 @@ def alpha_search(cfg: ExperimentConfig, alpha_values) -> PropagationReport:
     alphas = [float(a) for a in alpha_values]
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alpha grid must be strictly decreasing")
+    require_decreasing(alphas)
     for a in alphas:
         trial = dataclasses.replace(cfg, alpha=a)
         try:

@@ -314,8 +314,6 @@ def test_criterion_8_determinism(tmp_path, capsys):
                 "4096",
                 "--etas",
                 "-1,0,1",
-                "--seed",
-                "0",
             ],
         ),
     ):

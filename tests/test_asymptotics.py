@@ -264,6 +264,22 @@ def test_spec_validation_messages():
     assert "not flat below" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "s_values, alphas, message",
+    [
+        ([1.0], [0.2, 0.1, math.nan], "strictly decreasing, got [0.2, 0.1, nan]"),
+        ([1.0], [0.2, 0.2, 0.1], "strictly decreasing, got [0.2, 0.2, 0.1]"),
+        ([1.0, math.nan], [0.2, 0.1, 0.05], "s must be finite and exceed 1/2"),
+        ([1.0, 0.5], [0.2, 0.1, 0.05], "s must be finite and exceed 1/2"),
+    ],
+    ids=["alpha-nan", "alpha-repeated", "s-nan", "s-half"],
+)
+def test_scan_refuses_a_bad_grid_before_integrating(monkeypatch, s_values, alphas, message):
+    monkeypatch.setattr(asymptotics, "_f_alpha_cells", lambda specs: pytest.fail("integrated"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dichotomy_scan(s_values, alphas, 1.0)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_nonfinite_s_or_delta_is_refused(bad):
     # s = inf passed the s > 1/2 check and integrated to NaN rows

@@ -19,7 +19,15 @@ import numpy as np
 import pytest
 
 import disclab
-from disclab import cli
+from disclab import (
+    KIND_IM,
+    BumpDeformation,
+    DiscFamilyParams,
+    ExperimentConfig,
+    FAlphaSpec,
+    FlatProfile,
+    cli,
+)
 from disclab.cli import dispatch, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -393,6 +401,117 @@ def test_unusable_window_or_nonfinite_parameter_is_a_validation_error(argv, mess
     assert out == ""
     assert err.startswith("validation error: " + message)
     assert "Traceback" not in err
+
+
+def _bump(**kw):
+    base = FlatProfile(kind=KIND_IM, s=1.0)
+    return BumpDeformation(**{"base": base, "delta": 0.2, "alpha": 0.1, **kw})
+
+
+# per parameter: the owner's message, then the owner and every class that
+# calls its check, each building one object from the bad value, then the
+# command lines that take the value as a flag
+_OWNERS = {
+    "alpha": (
+        "alpha must lie in (0, 1], got {}",
+        (
+            lambda v: DiscFamilyParams(alpha=v),
+            lambda v: _bump(alpha=v),
+            lambda v: FAlphaSpec(alpha=v, s=1.0),
+            lambda v: ExperimentConfig(s=1.0, alpha=v),
+        ),
+        ("disc --alpha", "flatness --alpha", "attach --alpha", "propagate --alpha"),
+    ),
+    "s": (
+        "s must be positive and finite, got {}",
+        (
+            lambda v: FlatProfile(kind=KIND_IM, s=v),
+            lambda v: ExperimentConfig(s=v, alpha=0.1),
+        ),
+        ("flatness --s", "attach --s", "propagate --s"),
+    ),
+    "delta": (
+        "delta must be positive and finite, got {}",
+        (
+            lambda v: _bump(delta=v),
+            lambda v: FAlphaSpec(alpha=0.1, s=1.0, delta=v),
+            lambda v: ExperimentConfig(s=1.0, alpha=0.1, delta=v),
+        ),
+        ("fa-scan --delta", "attach --delta", "propagate --delta"),
+    ),
+    "eps_shift": (
+        "eps_shift must be nonnegative and finite, got {}",
+        (
+            lambda v: DiscFamilyParams(alpha=0.1, eps_shift=v),
+            lambda v: ExperimentConfig(s=1.0, alpha=0.1, eps_shift=v),
+        ),
+        ("disc --eps-shift", "attach --eps-shift", "propagate --eps-shift"),
+    ),
+    "eta": (
+        "eta must lie in [-1, 1], got {}",
+        (
+            lambda v: _bump(eta=v),
+            lambda v: ExperimentConfig(s=1.0, alpha=0.1, eta_grid=(v,)),
+        ),
+        ("attach --eta", "propagate --etas"),
+    ),
+}
+_BAD_VALUES = [
+    ("alpha", 0.0),
+    ("alpha", 1.5),
+    ("alpha", math.nan),
+    ("s", math.inf),
+    ("s", math.nan),
+    ("delta", math.inf),
+    ("delta", math.nan),
+    ("eps_shift", math.inf),
+    ("eps_shift", math.nan),
+    ("eta", math.nan),
+    ("eta", 1.5),
+]
+
+
+@pytest.mark.parametrize("name, bad", _BAD_VALUES, ids=[f"{n}-{v}" for n, v in _BAD_VALUES])
+def test_one_owner_reports_each_bad_parameter(name, bad, capsys):
+    template, builders, commands = _OWNERS[name]
+    message = template.format(bad)
+    for build in builders:
+        with pytest.raises(ValueError) as exc:
+            build(bad)
+        assert str(exc.value) == message
+    for command in commands:
+        rc, out, err = run_cli(command.split() + [str(bad)], capsys)
+        assert (rc, out, err) == (1, "", f"validation error: {message}\n"), command
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--etas", "nan,1"], None, "eta must lie in [-1, 1], got nan"),
+        ([], '{"etas": [NaN, 1]}', "eta must lie in [-1, 1], got nan"),
+        (["--alphas", "0.2,nan"], None, "alpha values must be strictly decreasing, got [0.2, nan]"),
+    ],
+    ids=["etas-flag", "etas-config", "alphas-flag"],
+)
+def test_nan_in_a_propagate_grid_is_a_validation_error(argv, config, message, tmp_path, capsys):
+    # these once wrote a row nan,nan,nan,true, or returned at alpha = 0.2 before reaching the NaN
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(config)
+        argv = argv + ["--config", str(cfg_file)]
+    rc = dispatch(["propagate", "--s", "1", "--alpha", "0.2", "--n", "4096"] + argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"validation error: {message}\n")
+
+
+@pytest.mark.parametrize("eps_shift", ["0", "0.1"])
+@pytest.mark.parametrize("delta", ["nan", "0.8", "0"])
+def test_disc_delta_is_checked_on_every_run(delta, eps_shift, capsys):
+    # with a shift the concentration check is skipped, but delta is still echoed
+    argv = ["disc", "--n", "8", "--eps-shift", eps_shift, "--delta", delta, "--format", "json"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err == f"validation error: delta must lie in (0, 1/log 4), got {float(delta)}\n"
 
 
 def test_attach_nonconvergence_exit_code_and_payload(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Deformation experiment: classification, radial derivative sign, alpha search."""
 
 import math
+import re
 import types
 import weakref
 
@@ -37,8 +38,18 @@ def test_config_defaults():
     cfg = ExperimentConfig(s=1.0, alpha=0.1)
     assert len(cfg.eta_grid) == 21
     assert cfg.eta_grid[0] == -1.0 and cfg.eta_grid[-1] == 1.0
-    assert cfg.window_exponent() == cfg.delta
-    assert ExperimentConfig(s=1.0, alpha=0.1, eps_window=0.5).window_exponent() == 0.5
+
+
+def test_nan_grids_are_refused_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(propagation, "run_experiment", lambda cfg: runs.append(cfg))
+    with pytest.raises(ValueError, match=re.escape("eta must lie in [-1, 1], got nan")):
+        ExperimentConfig(s=1.0, alpha=0.2, eta_grid=(math.nan, 1.0))
+    cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096)
+    for grid in ([0.2, math.nan], [math.nan, 0.2], [0.2, 0.1, math.nan]):
+        with pytest.raises(ValueError, match="alpha values must be strictly decreasing"):
+            alpha_search(cfg, grid)
+    assert runs == []
 
 
 def test_config_validation():
@@ -158,7 +169,7 @@ def _solved_cells(cfg):
         problem = BishopProblem(
             grid=sweep.grid,
             disc=sweep.params,
-            surface=sweep._surface(eta),
+            surface=propagation._surface(cfg, eta),
             tol=cfg.tol,
             max_iter=cfg.max_iter,
         )
