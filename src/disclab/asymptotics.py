@@ -94,6 +94,8 @@ class FAlphaSpec:
                 f"t_max_cap {self.t_max_cap} is not above the lower limit "
                 f"delta/alpha = {self.delta / self.alpha:.3f}"
             )
+        if not (self.t_max_cap < math.inf):  # the crest scan steps up to the cap
+            raise ValueError(f"t_max_cap must be finite, got {self.t_max_cap}")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
 

@@ -53,7 +53,7 @@ from .circle import (
 )
 from .disc_family import DiscFamilyParams, phi_boundary
 from .exceptions import GridUnresolved, NotConverged, QuadratureNonConvergent
-from .profiles import BumpDeformation
+from .profiles import BumpDeformation, require_positive_finite
 
 __all__ = [
     "BishopProblem",
@@ -78,8 +78,7 @@ class BishopProblem:
     trace: np.ndarray | None = dataclasses.field(default=None, repr=False)  # height over phi
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        require_positive_finite("tol", self.tol)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not hasattr(self.surface, "boundary_trace"):
@@ -138,7 +137,6 @@ class AttachedDisc:
     u: BoundaryFunction
     v: BoundaryFunction
     report: SolveReport
-    problem: BishopProblem
 
 
 def phi_on_grid(disc: DiscFamilyParams, grid: CircleGrid) -> BoundaryFunction:
@@ -210,7 +208,7 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
         u=ub,
         v=vb,
     )
-    return AttachedDisc(phi=phi, u=ub, v=vb, report=report, problem=p)
+    return AttachedDisc(phi=phi, u=ub, v=vb, report=report)
 
 
 def attachment_residual(d: AttachedDisc, surface) -> float:

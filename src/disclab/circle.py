@@ -1,8 +1,8 @@
 """Spectral toolkit on the unit circle.
 
 Uniform grids on [0, 2pi), FFT-based conjugate-function transforms,
-the Poisson extension along a ray, and the radial derivative of the
-harmonic extension at the boundary point theta = 0 (tau = 1).
+and the Poisson extension and radial derivative of the harmonic
+extension along the inward ray to the contact point theta = 0 (tau = 1).
 
 Conventions.  A real grid function f with samples f_j = f(theta_j),
 theta_j = 2 pi j/n, is identified with its trigonometric interpolant
@@ -21,9 +21,8 @@ you have the memory).  Transforms and both radial-derivative methods are
 O(n log n); poisson_radial is dense in radii times modes.
 
 A BoundaryFunction computes its Fourier coefficients once, on first
-read, and shares them read-only with every coefficient reader; a
-CircleGrid keeps the cos/sin/r^k tables of the last ray poisson_radial
-walked on it.  Both are freed with their owner, never kept by the module.
+read, and shares them read-only with every coefficient reader; they are
+freed with the function, never kept by the module.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "FourierCoeffs",
     "conjugate",
     "hilbert_t1",
-    "fourier_coeffs",
     "poisson_radial",
     "radial_derivative",
     "holomorphy_defect",
@@ -72,22 +70,6 @@ class CircleGrid:
         th = 2.0 * np.pi * np.arange(self.n) / self.n
         th.flags.writeable = False
         return th
-
-    def _ray_tables(self, theta: float, radii: tuple) -> tuple:
-        """cos(k theta), sin(k theta) and the rows r^k, k = 1..n/2, for poisson_radial.
-
-        The grid keeps the last set it built, so a run that walks one ray
-        for many functions builds it once, and it is freed with the grid.
-        """
-        key = (theta, radii)
-        if self.__dict__.get("_ray", (None,))[0] != key:
-            self.__dict__.pop("_ray", None)  # free the last set before building this one
-            k = np.arange(1, self.n // 2 + 1, dtype=float)
-            tables = (np.cos(k * theta), np.sin(k * theta), np.power.outer(radii, k))
-            for table in tables:
-                table.flags.writeable = False
-            self.__dict__["_ray"] = (key, tables)
-        return self.__dict__["_ray"][1]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -123,11 +105,10 @@ class BoundaryFunction:
     def coeffs(self) -> "FourierCoeffs":
         """Read-only coefficients of the interpolant, from one rfft on first read.
 
-        Every coefficient reader (fourier_coeffs, both radial_derivative
-        methods, poisson_radial) shares them, and they are freed with
-        the function.
+        Every coefficient reader (both radial_derivative methods,
+        poisson_radial) shares them, and they are freed with the function.
         """
-        _require_real(self, "fourier_coeffs")
+        _require_real(self, "coeffs")
         n = self.grid.n
         spec = np.fft.rfft(self.values)
         a = 2.0 * spec.real / n
@@ -192,20 +173,19 @@ def hilbert_t1(f: BoundaryFunction) -> BoundaryFunction:
     return BoundaryFunction._adopt(f.grid, vals)
 
 
-def fourier_coeffs(f: BoundaryFunction) -> FourierCoeffs:
-    """Coefficients of the trigonometric interpolant of the samples (read-only, shared)."""
-    return f.coeffs
+def poisson_radial(f: BoundaryFunction, radii) -> np.ndarray:
+    """Harmonic extension along the inward ray to the contact point, vector over radii.
 
-
-def poisson_radial(f: BoundaryFunction, radii, theta: float = 0.0) -> np.ndarray:
-    """Harmonic extension along the ray at a fixed angle, vector over radii."""
+    On the ray theta = 0 every cos(k theta) is 1 and every sin(k theta)
+    is 0, so the extension is sum_k r^k a_k.
+    """
+    _require_real(f, "poisson_radial")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all((radii >= 0.0) & (radii < 1.0)):
         raise ValueError("all radii must lie in [0, 1)")
-    c = fourier_coeffs(f)
-    cos_k, sin_k, powers = f.grid._ray_tables(float(theta), tuple(radii.tolist()))
-    profile = c.a[1:] * cos_k + c.b[1:] * sin_k
-    return c.a[0] + powers @ profile
+    c = f.coeffs
+    k = np.arange(1, f.grid.n // 2 + 1, dtype=float)
+    return c.a[0] + np.power.outer(radii, k) @ c.a[1:]
 
 
 def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
@@ -233,7 +213,7 @@ def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
     equal values is divided by the small 1 - cos theta there.
     """
     _require_real(f, "radial_derivative")
-    c = fourier_coeffs(f)
+    c = f.coeffs
     k = np.arange(1, len(c.a), dtype=float)
     a = c.a[1:]
     if method == "spectral":
@@ -267,31 +247,28 @@ def holomorphy_defect(u: BoundaryFunction, v: BoundaryFunction) -> float:
     return float(np.max(np.abs(neg))) if len(neg) else 0.0
 
 
-def holder_seminorm(f: BoundaryFunction, beta: float = 0.5, max_nodes: int = 512) -> float:
-    """Diagnostic Hoelder seminorm of the spectral derivative f'.
+def holder_seminorm(f: BoundaryFunction) -> float:
+    """Diagnostic 1/2-Hoelder seminorm of the spectral derivative f'.
 
-    Max over sampled node pairs of |f'(th_i) - f'(th_j)| / d(th_i, th_j)^beta
-    with d the arc distance.  A smoothness indicator only; nothing in the
-    solvers asserts a bound on it.
+    Max over pairs among up to 512 evenly spread nodes of
+    |f'(th_i) - f'(th_j)| / d(th_i, th_j)^(1/2) with d the arc distance.
+    A smoothness indicator only; nothing in the solvers asserts a bound
+    on it.
     """
     _require_real(f, "holder_seminorm")
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0, 1]")
     n = f.grid.n
     spec = np.fft.rfft(f.values)
     freq = 1j * np.arange(len(spec))
     freq[-1] = 0.0  # derivative of the Nyquist cosine samples to zero
     dvals = np.fft.irfft(spec * freq, n)
-    idx = np.unique(np.linspace(0, n - 1, min(max_nodes, n)).astype(int))
+    idx = np.unique(np.linspace(0, n - 1, min(512, n)).astype(int))
     th = f.grid.theta[idx]
     dv = dvals[idx]
     dth = np.abs(th[:, None] - th[None, :])
     dth = np.minimum(dth, 2.0 * np.pi - dth)
     num = np.abs(dv[:, None] - dv[None, :])
-    mask = dth > 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(num[mask] / dth[mask] ** beta))
+    mask = dth > 0.0  # a grid has at least 8 nodes, so some pair is apart
+    return float(np.max(num[mask] / dth[mask] ** 0.5))
 
 
 def spectral_identity_errors(n: int) -> list:

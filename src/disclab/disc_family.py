@@ -177,10 +177,10 @@ def im_phi_expansion_check(params: DiscFamilyParams, theta: float):
     return exact, expansion, rel_err
 
 
-def concentration_bound_check(params: DiscFamilyParams, delta: float, samples: int = 100000) -> bool:
+def concentration_bound_check(params: DiscFamilyParams, delta: float) -> bool:
     """Whether the boundary arc away from tau = 1 sits delta-close to 1/log 4.
 
-    Samples theta log-spaced over [e^{-delta/alpha}, pi] and tests
+    Samples 100000 theta log-spaced over [e^{-delta/alpha}, pi] and tests
     |phi(e^{i theta}) - 1/log 4| <= delta at every sample.  phi commutes
     with conjugation and the center is real, so deviations at 2 pi - theta
     equal those at theta and one half-circle of samples covers both.
@@ -188,9 +188,7 @@ def concentration_bound_check(params: DiscFamilyParams, delta: float, samples: i
     if params.eps_shift != 0.0:
         raise ValueError("concentration check requires eps_shift = 0")
     require_concentration_delta(delta)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     cutoff = math.exp(-delta / params.alpha)
-    th = np.geomspace(cutoff, math.pi, int(samples))
+    th = np.geomspace(cutoff, math.pi, 100000)
     dev = np.abs(phi_boundary(params, th) - SQUEEZE_LIMIT)
     return bool(np.max(dev) <= delta)

@@ -31,8 +31,8 @@ phi on the grid, the bump's blend weight and base-profile values (which
 also serve as the classification's undeformed heights) and
 |phi - center|^2 are computed once per run.  Each u's Fourier
 coefficients are computed once and read by both radial derivatives and
-the ray evaluation, and the grid keeps the ray tables of its last radii
-tuple.  All of it belongs to the run and is freed when it returns.
+the ray evaluation.  All of it belongs to the run and is freed when it
+returns.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class _Sweep:
     def values(self, disc: AttachedDisc) -> tuple:
         """(u, v, spectral radial derivative, u along the coverage radii) of one solve."""
         rd = radial_derivative(disc.u, method="spectral")
-        along_ray = poisson_radial(disc.u, np.asarray(self.cfg.r_coverage), theta=0.0)
+        along_ray = poisson_radial(disc.u, np.asarray(self.cfg.r_coverage))
         return disc.u.values, disc.v.values, rd, along_ray
 
     def cell(self, eta: float, values: tuple) -> EtaCell:
@@ -204,7 +204,7 @@ def _head(sweep: _Sweep) -> tuple:
     cfg = sweep.cfg
     head = sweep.solve(1.0)
     rd_quad = radial_derivative(head.u, method="quadrature")
-    along_ray = poisson_radial(head.u, np.asarray(cfg.r_profile), theta=0.0)
+    along_ray = poisson_radial(head.u, np.asarray(cfg.r_profile))
     transversal = tuple(
         (float(r), float(val)) for r, val in zip(cfg.r_profile, along_ray)
     )

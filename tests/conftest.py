@@ -7,9 +7,13 @@ folded-integrand identity itself; it sums the product form at every
 point of a much finer mesh instead of reading values off an FFT.
 """
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
+import disclab
 from disclab import (
     BishopProblem,
     CircleGrid,
@@ -18,6 +22,16 @@ from disclab import (
     KIND_IM,
     solve_bishop,
 )
+
+
+def package_env() -> dict:
+    """Environment for a subprocess that must import the disclab under test.
+
+    PYTHONPATH names the directory holding the package this session
+    imported, so the child neither fails to find it nor picks up another
+    installed copy.
+    """
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(disclab.__file__).resolve().parents[1])}
 
 
 @pytest.fixture(scope="session")

@@ -259,6 +259,11 @@ def test_spec_validation_messages():
         spec(1.0, 0.1, rel_tol=2.0)
     with pytest.raises(ValueError):
         spec(1.0, 0.001)  # delta/alpha exceeds the default cap
+    # the crest scan steps t up to the cap, so an infinite one never ends
+    with pytest.raises(ValueError, match=re.escape("t_max_cap must be finite, got inf")):
+        spec(1.0, 0.2, t_max_cap=math.inf)
+    with pytest.raises(ValueError, match="not above the lower limit"):
+        spec(1.0, 0.2, t_max_cap=math.nan)
     with pytest.raises(ValueError) as exc:
         spec(0.5, 0.1)
     assert "not flat below" in str(exc.value)

@@ -91,8 +91,9 @@ def test_uniqueness_across_initial_iterates(grid14, flat_s1):
 
 
 def test_solver_validates_inputs(grid14, flat_s1):
-    with pytest.raises(ValueError):
-        make_problem(grid14, flat_s1, tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+            make_problem(grid14, flat_s1, tol=tol)
     with pytest.raises(ValueError):
         make_problem(grid14, flat_s1, max_iter=0)
     with pytest.raises(ValueError):
@@ -245,13 +246,11 @@ def test_attachment_residual_detects_conjugacy_consistent_perturbation(
     # the flat surface reads only the first component, so swapping v alone
     # cannot move the residual; push the perturbation through u = -T1 v and
     # the broken attachment shows up at the size of the perturbation
-    p = make_problem(grid14, flat_s1)
     bare = AttachedDisc(
         phi=undeformed_disc.phi,
         u=undeformed_disc.u,
         v=BoundaryFunction(grid14, undeformed_disc.v.values + 1e-3 * np.cos(grid14.theta)),
         report=undeformed_disc.report,
-        problem=p,
     )
     assert attachment_residual(bare, flat_s1) == attachment_residual(
         undeformed_disc, flat_s1
@@ -259,9 +258,7 @@ def test_attachment_residual_detects_conjugacy_consistent_perturbation(
 
     vp = bare.v
     up = BoundaryFunction(grid14, -hilbert_t1(vp).values)
-    consistent = AttachedDisc(
-        phi=undeformed_disc.phi, u=up, v=vp, report=undeformed_disc.report, problem=p
-    )
+    consistent = AttachedDisc(phi=undeformed_disc.phi, u=up, v=vp, report=undeformed_disc.report)
     res = attachment_residual(consistent, flat_s1)
     assert res > 1e-4
     assert res == pytest.approx(1e-3, rel=0.05)
@@ -295,8 +292,8 @@ def test_cauchy_reproduces_holomorphic_data(wide_disc):
 def test_cauchy_agrees_with_poisson_ray(wide_disc):
     tau = 0.999
     z2v = cauchy_extend(wide_disc, lambda z1, z2: z2, tau)
-    pu = poisson_radial(wide_disc.u, np.array([tau]), theta=0.0)[0]
-    pv = poisson_radial(wide_disc.v, np.array([tau]), theta=0.0)[0]
+    pu = poisson_radial(wide_disc.u, np.array([tau]))[0]
+    pv = poisson_radial(wide_disc.v, np.array([tau]))[0]
     assert abs(z2v - complex(pu, pv)) <= 1e-6
 
 

@@ -21,7 +21,9 @@ import pytest
 import disclab
 from disclab import (
     KIND_IM,
+    BishopProblem,
     BumpDeformation,
+    CircleGrid,
     DiscFamilyParams,
     ExperimentConfig,
     FAlphaSpec,
@@ -29,6 +31,7 @@ from disclab import (
     cli,
 )
 from disclab.cli import dispatch, main
+from conftest import package_env
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -455,6 +458,18 @@ _OWNERS = {
         ),
         ("attach --eta", "propagate --etas"),
     ),
+    "tol": (
+        "tol must be positive and finite, got {}",
+        (
+            lambda v: BishopProblem(
+                grid=CircleGrid(n=8),
+                disc=DiscFamilyParams(alpha=0.1),
+                surface=FlatProfile(kind=KIND_IM, s=1.0),
+                tol=v,
+            ),
+        ),
+        ("attach --n 1024 --format json --tol", "propagate --n 4096 --alpha 0.2 --tol"),
+    ),
 }
 _BAD_VALUES = [
     ("alpha", 0.0),
@@ -468,6 +483,9 @@ _BAD_VALUES = [
     ("eps_shift", math.nan),
     ("eta", math.nan),
     ("eta", 1.5),
+    ("tol", 0.0),
+    ("tol", math.inf),
+    ("tol", math.nan),
 ]
 
 
@@ -1027,6 +1045,7 @@ def test_module_invocation_smoke():
         capture_output=True,
         text=True,
         timeout=120,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.count("ok ") == 5

@@ -253,5 +253,3 @@ def test_concentration_validates_input():
         concentration_bound_check(DiscFamilyParams(alpha=0.1, eps_shift=0.1), 0.2)
     with pytest.raises(ValueError):
         concentration_bound_check(DiscFamilyParams(alpha=0.1), 0.8)
-    with pytest.raises(ValueError):
-        concentration_bound_check(DiscFamilyParams(alpha=0.1), 0.2, samples=1)

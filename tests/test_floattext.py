@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab._floattext import WIDTH, encode
+from conftest import package_env
 
 
 def reference(x) -> np.ndarray:
@@ -77,6 +78,8 @@ def test_importing_the_cli_builds_no_table():
         "print(f._tables.cache_info().currsize); f.encode([0.5]); "
         "print(f._tables.cache_info().currsize)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=package_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]

@@ -329,9 +329,10 @@ def test_eta_free_work_is_done_once_per_experiment(monkeypatch):
     assert counts == {"base profile": 1, "blend weight": 1}
 
 
-def test_one_transform_per_function_and_one_ray_table_per_radii(monkeypatch):
+def test_one_transform_per_function_and_one_power_table_per_ray(monkeypatch):
     transformed = []  # (kind, input array); the arrays are kept so no id is reused
-    rays = []
+    tables = []  # radii of each np.power.outer table
+    rays = []  # radii of each poisson_radial call
 
     def recorded(kind, fn):
         def call(a, *args, **kwargs):
@@ -345,8 +346,12 @@ def test_one_transform_per_function_and_one_ray_table_per_radii(monkeypatch):
             return getattr(np, attr)
 
     def power_outer(radii, k):
-        rays.append(radii)
+        tables.append(tuple(radii.tolist()))
         return np.power.outer(radii, k)
+
+    def recording_ray(f, radii):
+        rays.append(tuple(radii.tolist()))
+        return circle.poisson_radial(f, radii)
 
     proxy = Numpy("numpy")
     proxy.fft = types.SimpleNamespace(
@@ -361,6 +366,7 @@ def test_one_transform_per_function_and_one_ray_table_per_radii(monkeypatch):
         return discs[-1]
 
     monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    monkeypatch.setattr(propagation, "poisson_radial", recording_ray)
     cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096)
     run_experiment(cfg)
     assert len(discs) == 2
@@ -370,7 +376,9 @@ def test_one_transform_per_function_and_one_ray_table_per_radii(monkeypatch):
     assert len({id(a) for a in inputs}) == len(inputs)
     for disc in discs:
         assert sum(a is disc.u.values for a in inputs) == 1
-    assert rays == [cfg.r_profile, cfg.r_coverage]
+    # the profile and coverage rays of the head solve, the coverage ray at eta = 0
+    assert rays == [cfg.r_profile, cfg.r_coverage, cfg.r_coverage]
+    assert tables == rays
 
 
 def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
@@ -388,11 +396,10 @@ def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
     monkeypatch.setattr(propagation, "phi_on_grid", kept(bishop.phi_on_grid))
     monkeypatch.setattr(profiles.BumpDeformation, "trace_parts",
                         kept(profiles.BumpDeformation.trace_parts))
-    monkeypatch.setattr(circle.CircleGrid, "_ray_tables", kept(circle.CircleGrid._ray_tables))
-    monkeypatch.setattr(circle, "fourier_coeffs", kept(circle.fourier_coeffs))
+    monkeypatch.setattr(circle, "FourierCoeffs", kept(circle.FourierCoeffs))
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
     assert report.points_down
-    # phi, weight, base values, each ray table set and each u's coefficients
-    assert len(refs) >= 1 + 2 + 2 + 2
+    # phi, weight, base values and each u's coefficients
+    assert len(refs) >= 1 + 2 + 2
     alive = [ref() for ref in refs if ref() is not None]
     assert alive == []
