@@ -2,15 +2,23 @@
 
 Ryu (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds
 the shortest decimal that reads back as the same double with integer
-arithmetic alone.  `encode` runs its common case on whole uint64 arrays,
-its 128-bit products split into 32-bit limbs, and lays the digits out
-as Python's `repr` does.  nan, +-inf, +-0.0 and the values Ryu sends
-through its exact-trailing-zero branch are formatted by `repr` itself.
+arithmetic alone.  `encode` runs its common case on whole uint64 arrays
+and lays the digits out as Python's `repr` does.  Everything that
+depends only on the biased exponent (Ryu's q and i, the shift j, the
+table column of the 125-bit multiplier M, the trailing-zero bounds) is
+read from one 2,048-entry table.  Each value costs one product m2 * M,
+in 32-bit limbs carried into 64-bit words; Ryu's three bounds are that
+product times 4, plus 2M or minus (1 + mm_shift)M, shifted right by j
+(as Dragonbox, J. Jeon 2020, takes both ends of the interval from the
+value's own product).  The digits come from five uint16 groups of four
+places.  nan, +-inf, +-0.0 and the values Ryu sends through its
+exact-trailing-zero branch are formatted by `repr` itself.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -19,49 +27,47 @@ __all__: list = []  # private to the CLI; the package re-exports none of it
 WIDTH = 24  # len(repr(-2.2250738585072014e-308)): sign, 17 digits, '.', 'e-308'
 
 _M32 = np.uint64(0xFFFFFFFF)
-_POW10 = np.array([10**i for i in range(17)], np.uint64)
+_POW10 = np.array([10**i for i in range(20)], np.uint64)
 _POW5 = np.array([5**i for i in range(22)], np.uint64)
 
-# rows of the per-value source that a layout pattern picks bytes from: 0..16
-# the significand's digits right-aligned, the exponent's sign and its
-# hundreds, tens and ones, then the literals
-_EXP_SIGN, _EXP_100, _EXP_10, _EXP_1 = 17, 18, 19, 20
-_MINUS, _DOT, _ZERO, _E, _NUL = 21, 22, 23, 24, 25
+# rows of the per-value source that a layout pattern picks bytes from:
+# 3..19 the significand's digits right-aligned in 17 places (0..2 pad
+# them to four groups of four), then the exponent's sign and its hundreds,
+# tens and ones, then the literals
+_EXP_SIGN, _EXP_100, _EXP_10, _EXP_1 = 20, 21, 22, 23
+_MINUS, _DOT, _ZERO, _E, _NUL = 24, 25, 26, 27, 28
 _LITERALS = np.frombuffer(b"-.0e\0", dtype=np.uint8)
+_EXP_PLACES = np.array([[100], [10], [1]], np.uint32)
 _LAYOUTS = 22  # fixed notation with decpt -3..16, then exponents of 2 and 3 digits
-# values per pass, so each temporary is 32 KiB: one pass over a whole 20,480-value
-# CSV chunk made an `attach --n 65536` call about 15 % slower (2 vCPUs, numpy 2.4)
+# values per pass, so most temporaries are 32 KiB: writing the 65,536-row
+# `attach` CSV took about 25 % longer with 2,048 and no less with 8,192
+# (2 vCPUs, numpy 2.4)
 _BLOCK = 4096
 
 
-def _layout(nd: int, layout: int) -> list:
-    """Source rows of one unsigned repr: `nd` digits in fixed or exponent notation."""
-    d = list(range(17 - nd, 17))
-    if layout >= 20:
-        exp = [_EXP_100, _EXP_10, _EXP_1][21 - layout :]
-        return d[:1] + ([_DOT] + d[1:] if nd > 1 else []) + [_E, _EXP_SIGN] + exp
-    pt = layout - 3  # decpt: the value is 0.d1d2...dnd * 10**pt
-    if pt <= 0:
-        return [_ZERO, _DOT] + [_ZERO] * -pt + d
-    if pt < nd:
-        return d[:pt] + [_DOT] + d[pt:]
-    return d + [_ZERO] * (pt - nd) + [_DOT, _ZERO]
+def _patterns() -> np.ndarray:
+    """Source row of each byte of each repr, keyed by (sign, nd, layout): (748, WIDTH)."""
+    nd = np.arange(1, 18)[:, None, None]  # significand digits
+    pt = np.arange(_LAYOUTS)[:, None] - 3  # decpt of fixed notation; 17 and 18 mean exponents
+    c = np.arange(WIDTH)  # byte position in the unsigned repr
 
+    def digit(t):  # row of the t-th digit, right-aligned in 17 places after 3 pad rows
+        return 20 - nd + t
 
-@functools.cache
-def _tables() -> tuple:
-    """Ryu's 125-bit inverse powers and powers of 5 as 32-bit limbs, and the layout patterns.
-
-    Built on first use: importing the CLI must not pay for them.
-    """
-    pow5 = [5**q for q in range(342)]
-    inv = [(1 << (p.bit_length() + 124)) // p + 1 for p in pow5]
-    split = [(p << 125) >> p.bit_length() for p in pow5[:326]]
-    limbs = [[(v >> s) & 0xFFFFFFFF for v in inv + split] for s in (0, 32, 64, 96)]
-    unsigned = [_layout(nd, layout) for nd in range(1, 18) for layout in range(_LAYOUTS)]
-    rows = unsigned + [[_MINUS] + row for row in unsigned]  # keyed by (sign, nd, layout)
-    patterns = [row + [_NUL] * (WIDTH - len(row)) for row in rows]
-    return np.array(limbs, np.uint64), np.array(patterns, np.uint8)
+    e = nd + (nd > 1)  # position of the 'e'
+    exponent = np.select(
+        [c == 0, (c == 1) & (nd > 1), c < e, c == e, c == e + 1, c < e + pt - 13],
+        [digit(0), _DOT, digit(c - 1), _E, _EXP_SIGN, _EXP_1 + c - e - pt + 14],
+        _NUL,
+    )
+    below_one = np.select(
+        [c == 1, c < 2 - pt, c < 2 - pt + nd], [_DOT, _ZERO, digit(c - 2 + pt)], _NUL
+    )
+    split = np.select([c < pt, c == pt, c <= nd], [digit(c), _DOT, digit(c - 1)], _NUL)
+    whole = np.select([c < nd, c < pt, c == pt, c == pt + 1], [digit(c), _ZERO, _DOT, _ZERO], _NUL)
+    unsigned = np.select([pt >= 17, pt <= 0, pt < nd], [exponent, below_one, split], whole)
+    signed = np.concatenate([np.full(unsigned.shape[:-1] + (1,), _MINUS), unsigned[..., :-1]], -1)
+    return np.stack([unsigned, signed]).reshape(-1, WIDTH)
 
 
 def _pow5bits(e):
@@ -69,98 +75,188 @@ def _pow5bits(e):
     return ((e * 1217359) >> 19) + 1
 
 
-def _mul_shift(m, mul, j):
-    """floor(m * mul / 2**j) for m < 2**64, mul as (4, len) 32-bit limbs, 64 < j < 128."""
-    cols = [np.zeros_like(m) for _ in range(6)]  # the product in 32-bit columns
-    for a, ma in enumerate((m & _M32, m >> 32)):
-        for b in range(4):
-            p = ma * mul[b]
-            cols[a + b] += p & _M32
-            cols[a + b + 1] += p >> 32
-    for lo, hi in zip(cols, cols[1:]):
-        hi += lo >> 32
-        lo &= _M32
-    s = (j - 64).astype(np.uint64)
-    return (((cols[3] << 32) | cols[2]) >> s) | (((cols[5] << 32) | cols[4]) << (64 - s))
+@functools.cache
+def _tables() -> tuple:
+    """The multipliers, the exponent table and the layout patterns.
 
+    Built on first use: importing the CLI must not pay for them.
+    """
+    # Ryu's 125-bit multipliers M: 2**k / 5**q for e2 >= 0, then 5**i / 2**k
+    pow5 = [5**q for q in range(342)]
+    mults = [(1 << (p.bit_length() + 124)) // p + 1 for p in pow5]
+    mults += [(p << 125) >> p.bit_length() for p in pow5[:326]]
+    words = b"".join(m.to_bytes(16, "little") for m in mults)
+    lo, hi = np.frombuffer(words, np.uint64).reshape(-1, 2).T
+    # 32-bit limbs of M, then the 64-bit words of M and of 2M
+    mul = np.stack([lo & _M32, lo >> 32, hi & _M32, hi >> 32, lo, hi, lo << 1, hi << 1 | lo >> 63])
 
-def encode(x) -> np.ndarray:
-    """A (x.size, WIDTH) uint8 matrix: row i holds repr of the i-th value of x, NUL-padded."""
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    out = np.empty((len(x), WIDTH), np.uint8)
-    for lo in range(0, len(x), _BLOCK):
-        out[lo : lo + _BLOCK] = _encode_block(x[lo : lo + _BLOCK])
-    return out
-
-
-def _encode_block(x) -> np.ndarray:
-    mul_table, patterns = _tables()
-    k = len(x)
-    bits = x.view(np.uint64)
-    ieee_e = ((bits >> 52) & 0x7FF).astype(np.int64)
-    ieee_m = bits & ((1 << 52) - 1)
-    special = (ieee_e == 0x7FF) | ((ieee_e == 0) & (ieee_m == 0))
-    ieee_e[special] = 1023  # a harmless stand-in; these rows go to repr below
-
-    e2 = np.maximum(ieee_e, 1) - 1077
-    m2 = np.where(ieee_e == 0, ieee_m, ieee_m | (1 << 52))
-    mv = m2 << 2
-    mm_shift = ((ieee_m != 0) | (ieee_e <= 1)).astype(np.uint64)
+    # per biased exponent E, as int16: the column of M, j - 64, -i, the
+    # trailing-zero shift, and q where Ryu tests 5**q (else -1)
+    e2 = np.maximum(np.arange(2048), 1) - 1077
     up = e2 >= 0
-    # vr = mv * 2**e2 / 10**q if e2 >= 0, else mv * 5**i / 2**q: either way
-    # mv times a 125-bit table entry over 2**j, and the value is about vr * 10**-i
     ep, en = np.maximum(e2, 0), np.maximum(-e2, 0)
     q = np.where(up, ((ep * 78913) >> 18) - (ep > 3), ((en * 732923) >> 20) - (en > 1))
     i = en - q
-    mul = mul_table.take(np.where(up, q, 342 + i), axis=1)
     j = np.where(up, q - ep + 124 + _pow5bits(q), q - _pow5bits(i) + 125)
-    v = _mul_shift(np.stack([mv, mv + 2, mv - 1 - mm_shift]), mul, j)  # Ryu's vr, vp, vm
+    # for e2 < 0 and q < 63, Ryu's branch is taken where 2**q divides mv,
+    # that is where mv << (64 - q) wraps to 0; nan and inf shift by 64
+    zshift = np.where(~up & (q < 63), 64 - q, 0)
+    zshift[-1] = 64
+    q5 = np.where(up & (q <= 21), q, -1)
+    exps = np.stack([np.where(up, q, 342 + i), j - 64, -i, zshift, q5]).astype(np.int16)
 
-    # Ryu's exact-trailing-zero branch: where 2**q (e2 < 0) or 5**q (e2 >= 0) divides a bound
-    mask2 = (np.uint64(1) << np.minimum(q, 62).astype(np.uint64)) - np.uint64(1)
-    fallback = special | (~up & ((q <= 1) | ((q < 63) & ((mv & mask2) == 0))))
-    s = np.flatnonzero(up & (q <= 21))
-    ms, p5 = mv[s], _POW5[q[s]]
-    odd_s = ((ms >> 2) & 1).astype(bool)
-    mod5 = ms % 5 == 0
-    fallback[s] |= np.where(mod5, ms % p5 == 0, ~odd_s & ((ms - 1 - mm_shift[s]) % p5 == 0))
-    v[1, s] -= (~mod5 & odd_s & ((ms + 2) % p5 == 0)).astype(np.uint64)
+    # each pattern byte's index in the flattened (_NUL + 1, _BLOCK) source, less its column
+    return _off_heap(mul), _off_heap(exps), _off_heap(_patterns() * _BLOCK)
 
-    # drop digits while the interval still holds a shorter decimal
-    # (two at a time, then one; round_up follows the last digit dropped)
-    removed, round_up = np.zeros(k, np.int64), np.zeros(k, bool)
-    for base, count in ((100, 2), (10, 1)):
-        while True:
-            v_b = v // base
-            step = v_b[1] > v_b[2]
-            if not step.any():
-                break
-            round_up = np.where(step, v[0] - v_b[0] * base >= base // 2, round_up)
-            v = np.where(step, v_b, v)
-            removed += step * count
-    digits = v[0] + ((v[0] == v[2]) | round_up)
 
-    nd = np.searchsorted(_POW10, digits, side="right")
-    decpt = nd - i + removed
+def _off_heap(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` in an anonymous mapping of its own, outside malloc's heap.
+
+    The tables outlive the call that builds them, in the middle of its
+    work; from the heap they would split the free chunks that the call's
+    later large arrays reuse, which cost an `attach --n 262144` CSV call
+    about 4 MB of peak RSS.
+    """
+    import mmap  # here, so that importing the CLI does not load it
+
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def encode(x, out=None) -> np.ndarray:
+    """repr of each value of x as NUL-padded bytes, in an array of shape x.shape + (WIDTH,).
+
+    `out`, if given, is that array, with any strides (say the cells of a
+    wider row matrix); it is filled and returned.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape + (WIDTH,), np.uint8)
+    per_row = math.prod(x.shape[1:])
+    if per_row > _BLOCK:
+        for row, cells in zip(x, out):
+            encode(row, cells)
+        return out
+    step = _BLOCK // max(per_row, 1)  # whole rows of x per pass
+    for lo in range(0, len(x), step):
+        part = x[lo : lo + step]
+        out[lo : lo + step] = _encode_block(part.ravel()).reshape(part.shape + (WIDTH,))
+    return out
+
+
+def _bounds(mv, mul, shift, mm_shift):
+    """Ryu's vr, vp and vm: (mv + d) * M >> j for d = 0, 2 and -1 - mm_shift.
+
+    mv = 4 m2 < 2**55, `mul` holds M's limbs and words (the rows of
+    `_tables()[0]` at each value's column) and shift is j - 64.  The
+    product mv * M is formed once, in 32-bit limbs whose columns are
+    carried into three 64-bit words; 2M is added and (1 + mm_shift) M
+    subtracted with the carry or borrow of the low word.
+    """
+    x, y = np.stack([mv & _M32, mv >> 32])[:, None] * mul[:4]  # limb products, y < 2**55
+    low = x & _M32
+    cols = (x >> 32) + y  # column k + 1 of the product, less the carries
+    cols[:3] += low[1:]
+    c2 = cols[1] + (cols[0] >> 32)
+    c3 = cols[2] + (c2 >> 32)
+    lo = low[0] | (cols[0] << 32)
+    mid = (c2 & _M32) | (c3 << 32)
+    hi = cols[3] + (c3 >> 32)
+
+    left = 64 - shift
+    vr = (mid >> shift) | (hi << left)
+    carry = lo > ~mul[6]
+    mid_p = mid + (mul[7] + carry)
+    vp = (mid_p >> shift) | ((hi + (mid_p < mid)) << left)
+    sub_lo = np.where(mm_shift, mul[6], mul[4])
+    sub_hi = np.where(mm_shift, mul[7], mul[5]) + (lo < sub_lo)
+    mid_m = mid - sub_hi
+    vm = (mid_m >> shift) | ((hi - (mid < sub_hi)) << left)
+    return vr, vp, vm
+
+
+def _shortest(vr, vp, vm):
+    """Ryu's digits and the count r of digits they drop from vr.
+
+    r is the largest count with vp // 10**r > vm // 10**r; vr // 10**r is
+    rounded half up on the last digit dropped, and up where it equals
+    vm // 10**r.  Every row is tried at two digits, then at one; the rows
+    that took that step go on alone.
+    """
+    p, m = vp // 100, vm // 100
+    two = p > m
+    p, m = np.where(two, p, vp) // 10, np.where(two, m, vm) // 10
+    one = p > m
+    removed = two * 2 + one
+    live = np.flatnonzero(one)
+    p, m = p[live], m[live]
+    while len(live):
+        p, m = p // 10, m // 10
+        step = p > m
+        live, p, m = live[step], p[step], m[step]
+        removed[live] += 1
+    scale = _POW10.take(removed)
+    digits = vr // scale
+    low = digits * scale
+    rest = vr - low
+    digits += (vm >= low) | (rest >= scale - rest)
+    return digits, removed
+
+
+def _encode_block(x) -> np.ndarray:
+    """(len(x), WIDTH) bytes of the contiguous 1-D float64 array x."""
+    mul_table, exp_table, patterns = _tables()
+    k = len(x)
+    bits = x.view(np.uint64)
+    ieee_e = ((bits >> 52) & 0x7FF).view(np.intp)
+    ieee_m = bits & ((1 << 52) - 1)
+    col, shift, neg_i, zshift, q5 = exp_table.take(ieee_e, axis=1)
+    mv = np.where(ieee_e == 0, ieee_m, ieee_m | (1 << 52)) << 2
+    mm_shift = (ieee_m != 0) | (ieee_e <= 1)
+    vr, vp, vm = _bounds(mv, mul_table.take(col, axis=1), shift.astype(np.uint64), mm_shift)
+
+    # Ryu's exact-trailing-zero branch: where 2**q (e2 < 0) or 5**q (e2 >= 0)
+    # divides a bound; +-0.0, nan and inf land here too
+    fallback = (mv << zshift.astype(np.uint64)) == 0
+    s = np.flatnonzero(q5 >= 0)
+    if len(s):
+        ms, p5 = mv[s], _POW5[q5[s]]
+        odd_s = (ms & 4).astype(bool)
+        mod5 = ms % 5 == 0
+        mm_s = mm_shift[s].astype(np.uint64)
+        fallback[s] |= np.where(mod5, ms % p5 == 0, ~odd_s & ((ms - 1 - mm_s) % p5 == 0))
+        vp[s] -= ~mod5 & odd_s & ((ms + 2) % p5 == 0)
+    digits, removed = _shortest(vr, vp, vm)
+
+    nd = np.searchsorted(_POW10[:17], digits, side="right")
+    decpt = nd + removed + neg_i
     exp = np.abs(decpt - 1).astype(np.uint32)
     layout = np.where((decpt > -4) & (decpt <= 16), decpt + 3, 20 + (exp >= 100))
     key = ((bits >> 63).astype(np.intp) * 17 + nd - 1) * _LAYOUTS + layout
 
     # the source rows, one per column of bytes: a pattern row picks from them
-    src = np.empty((26, k), np.uint8)
-    for col in range(16, -1, -1):
-        tenth = digits // 10
-        src[col] = digits - tenth * 10 + 48
-        digits = tenth
-    src[_EXP_SIGN] = np.where(decpt > 0, ord("+"), ord("-"))
-    for row, power in ((_EXP_100, 100), (_EXP_10, 10), (_EXP_1, 1)):
-        src[row] = exp // power % 10 + 48
+    src = np.empty((_NUL + 1, _BLOCK), np.uint8)
+    groups = np.empty((5, k), np.uint16)  # 20 places in fours, the leading one first
+    for g in range(4, 0, -1):
+        high = digits // 10000
+        groups[g] = digits - high * 10000
+        digits = high
+    groups[0] = digits
+    places = src[:20, :k].reshape(5, 4, k)
+    for col in range(3, -1, -1):
+        tenth = groups // 10
+        places[:, col] = groups - tenth * 10 + 48
+        groups = tenth
+    src[_EXP_SIGN, :k] = np.where(decpt > 0, ord("+"), ord("-"))
+    src[_EXP_100 : _EXP_1 + 1, :k] = exp // _EXP_PLACES % 10 + 48
     src[_MINUS:] = _LITERALS[:, None]
-    index = patterns.take(key, axis=0) * np.intp(k)
+    index = patterns.take(key, axis=0)
     index += np.arange(k)[:, None]
     out = src.ravel().take(index)
 
     rest = np.flatnonzero(fallback)
-    text = np.array([repr(val) for val in x[rest].tolist()], dtype=f"S{WIDTH}")
-    out[rest] = text.view(np.uint8).reshape(-1, WIDTH)
+    if len(rest):
+        text = np.array([repr(val) for val in x[rest].tolist()], dtype=f"S{WIDTH}")
+        out[rest] = text.view(np.uint8).reshape(-1, WIDTH)
     return out

@@ -15,9 +15,10 @@ three.  Data goes to --out (default standard output) as CSV or JSON,
 or, for `flatness`, `fa-scan` and `propagate`, as a human-readable
 table; progress and verdict messages go to standard error.  CSV is
 formatted and written a block of rows at a time, so the whole text is
-never held at once; float columns go through `_floattext.encode`, whose
-bytes are those of `repr`.  Outputs are deterministic: the same
-resolved configuration produces byte-identical bytes.
+never held at once.  A block is one byte matrix: each run of adjacent
+float columns is one `_floattext.encode` call, which writes every
+value's `repr` bytes straight into its cell.  Outputs are deterministic:
+the same resolved configuration produces byte-identical bytes.
 
 Exit codes: 0 success, 1 validation error (bad flag or config values,
 unresolvable grids), 2 numerical failure (non-convergence), with the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._floattext import encode
+from ._floattext import WIDTH, encode
 from .asymptotics import FAlphaSpec, dichotomy_scan
 from .bishop import BishopProblem, attachment_residual, solve_bishop
 from .circle import CircleGrid, spectral_identity_errors
@@ -187,23 +189,39 @@ def _csv_chunks(header, columns):
 
 
 def _csv_rows(columns) -> str:
-    """Equal-length columns as CSV rows, each column as a NUL-padded byte matrix.
+    """Equal-length columns as CSV rows, formatted into one NUL-padded byte matrix.
 
-    Float arrays go through one `encode` call (each value's repr), other
-    columns through _fmt; a row joins the matrices and drops the NULs.
+    Each run of adjacent float-array columns is one `encode` call, which
+    writes each value's repr into its cell of the matrix; other columns go
+    through _fmt.  The rows then drop their NULs.
     """
     rows = len(columns[0])
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    if any(floats):
-        stacked = np.stack([c for c, f in zip(columns, floats) if f], axis=1, dtype=np.float64)
-        encoded = iter(np.split(encode(stacked).reshape(rows, -1), sum(floats), axis=1))
-    blocks = []
-    for column, is_float in zip(columns, floats):
-        cells = next(encoded) if is_float else np.array([_fmt(v) for v in column], "S")
-        blocks += [cells.view(np.uint8).reshape(rows, -1), np.full((rows, 1), ord(","), np.uint8)]
-    blocks[-1][:] = ord("\n")
-    text = np.concatenate(blocks, axis=1)
+    parts = []  # a run of float columns as a (count, rows) array, or one column's text
+    for is_float, run in itertools.groupby(columns, _is_float_array):
+        if is_float:
+            parts.append(np.stack(list(run), dtype=np.float64))
+        else:
+            for column in run:
+                cells = np.array([_fmt(v) for v in column], "S")
+                parts.append(cells.view(np.uint8).reshape(rows, -1))
+    widths = [len(p) * (WIDTH + 1) if p.dtype.kind == "f" else p.shape[1] + 1 for p in parts]
+    text = np.empty((rows, sum(widths)), np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        cells = text[:, at : at + width]
+        at += width
+        if part.dtype.kind == "f":
+            cells = cells.reshape(rows, len(part), WIDTH + 1).transpose(1, 0, 2)
+            encode(part, out=cells[..., :WIDTH])
+        else:
+            cells[..., :-1] = part
+        cells[..., -1] = ord(",")
+    text[:, -1] = ord("\n")
     return text[text != 0].tobytes().decode("ascii")
+
+
+def _is_float_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
 def _emit_json(obj) -> str:

@@ -21,14 +21,15 @@ from disclab import asymptotics
 from disclab.asymptotics import _MAX_OPEN, _adaptive_simpson
 
 
-# values pinned by an independent mpmath tanh-sinh run at 40 digits
+# values pinned by independent mpmath tanh-sinh runs at 40 digits; the
+# (2.0, 0.1) and (2.0, 0.05) log values at 50 digits
 PINNED = {
     (1.0, 0.2): (6.959832152071541e-08, -16.48052539),
     (1.0, 0.1): (1.834815460075451e-13, -29.32666230),
     (1.0, 0.05): (8.278842178185646e-25, -55.45092420),
     (2.0, 0.2): (7.2532803735967255e-186, -426.29937347),
-    (2.0, 0.1): (0.0, -1481.26799071),
-    (2.0, 0.05): (0.0, -5566.69869376),
+    (2.0, 0.1): (0.0, -1481.26799080),
+    (2.0, 0.05): (0.0, -5566.69869391),
     (0.75, 0.2): (0.03643654458165234, -3.31218304),
     (0.75, 0.1): (0.058618955995496026, -2.83669715),
     (0.75, 0.05): (2.974975551563458, 1.09023582),

@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab._floattext import WIDTH, encode
+from disclab import _floattext
+from disclab._floattext import WIDTH, _bounds, _tables, encode
 from conftest import package_env
 
 
@@ -64,6 +65,71 @@ def test_any_bit_pattern(patterns):
 @given(st.lists(st.floats(), min_size=1, max_size=64))
 def test_any_float(values):
     assert_repr_bytes(values)
+
+
+def test_values_written_into_strided_cells():
+    # a (columns, rows) array into the cells of a row matrix, one byte apart;
+    # the first shape has rows longer than one pass of the kernel
+    rng = np.random.default_rng(11)
+    for shape in [(3, 5000), (5, 7), (2, 1)]:
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        matrix = np.zeros((shape[1], shape[0], WIDTH + 1), np.uint8)
+        cells = matrix.transpose(1, 0, 2)[..., :WIDTH]
+        assert encode(x, out=cells) is cells
+        for column, got in zip(x, cells):
+            assert (got == reference(column)).all()
+        assert not matrix[..., WIDTH].any()
+
+
+def ryu_multiplier(ieee_e):
+    """Ryu's multiplier M and shift j for a biased exponent, in Python integers."""
+    e2 = max(ieee_e, 1) - 1077
+    if e2 >= 0:
+        q = len(str(2**e2)) - 1 - (e2 > 3)
+        p = 5**q
+        return (1 << (p.bit_length() + 124)) // p + 1, q - e2 + 124 + p.bit_length()
+    q = len(str(5**-e2)) - 1 - (-e2 > 1)
+    p = 5 ** (-e2 - q)
+    return (p << 125) >> p.bit_length(), q - p.bit_length() + 125
+
+
+def test_shared_product_bounds_match_python_integers():
+    # vr, vp and vm come from one product m2 * M: check each against
+    # ((4 m2 + d) * M) >> j for d = 0, 2 and -1 - mm_shift, at every biased
+    # exponent, with the extreme and a seeded draw of mantissas
+    mul_table, exp_table, _ = _tables()
+    rng = np.random.default_rng(2020)
+    ieee_e = np.repeat(np.arange(2047), 10)
+    m2 = np.tile([1 << 52, (1 << 53) - 1, 1, 0, 0] * 2, 2047).astype(np.uint64)
+    m2[m2 == 0] = rng.integers(1, 1 << 53, int((m2 == 0).sum()), dtype=np.uint64)
+    mm_shift = np.tile(np.repeat([False, True], 5), 2047)
+    col, shift = exp_table[:2].take(ieee_e, axis=1)
+    got = _bounds(m2 << 2, mul_table.take(col, axis=1), shift.astype(np.uint64), mm_shift)
+    words = mul_table[4:6].astype(object)
+    for e in range(2047):
+        mult, j = ryu_multiplier(e)
+        assert int(words[0, col[10 * e]]) | int(words[1, col[10 * e]]) << 64 == mult, e
+        assert int(shift[10 * e]) + 64 == j, e
+        for r in range(10 * e, 10 * e + 10):
+            mv = 4 * int(m2[r])
+            want = [mv * mult >> j, (mv + 2) * mult >> j, (mv - 1 - int(mm_shift[r])) * mult >> j]
+            assert [int(v[r]) for v in got] == want, (e, int(m2[r]), bool(mm_shift[r]))
+
+
+def test_few_values_fall_back_to_repr(monkeypatch):
+    # the per-value path is for Ryu's exact-trailing-zero rows and the
+    # specials; a slide of ordinary values into it must fail here
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(_floattext, "repr", counting_repr, raising=False)
+    rng = np.random.default_rng(1618)
+    x = rng.uniform(-1, 1, 100_000) * 10 ** rng.uniform(-8, 2, 100_000)
+    assert_repr_bytes(x)
+    assert len(calls) < 100
 
 
 def test_empty_and_strided_input():
