@@ -106,22 +106,7 @@ def _tables() -> tuple:
     exps = np.stack([np.where(up, q, 342 + i), j - 64, -i, zshift, q5]).astype(np.int16)
 
     # each pattern byte's index in the flattened (_NUL + 1, _BLOCK) source, less its column
-    return _off_heap(mul), _off_heap(exps), _off_heap(_patterns() * _BLOCK)
-
-
-def _off_heap(a: np.ndarray) -> np.ndarray:
-    """A copy of `a` in an anonymous mapping of its own, outside malloc's heap.
-
-    The tables outlive the call that builds them, in the middle of its
-    work; from the heap they would split the free chunks that the call's
-    later large arrays reuse, which cost an `attach --n 262144` CSV call
-    about 4 MB of peak RSS.
-    """
-    import mmap  # here, so that importing the CLI does not load it
-
-    out = np.frombuffer(mmap.mmap(-1, a.nbytes), a.dtype).reshape(a.shape)
-    out[...] = a
-    return out
+    return mul, exps, _patterns() * _BLOCK
 
 
 def encode(x, out=None) -> np.ndarray:

@@ -54,7 +54,6 @@ __all__ = [
     "ScanResult",
     "f_alpha",
     "dichotomy_scan",
-    "positive_window",
 ]
 
 # exp() of anything below this underflows double precision
@@ -220,8 +219,6 @@ def _crest_scan(spec: FAlphaSpec):
     dropped = etas[i_max + 1 :] < crest - _CREST_DROP
     hit_cap = not dropped.any()
     t_end = cap if hit_cap else float(ts[i_max + 1 + int(np.argmax(dropped))])
-    if t_end <= t0:
-        t_end = min(t0 + _SCAN_STEP, cap)
 
     # rough mass in crest units, to set the absolute Simpson budget
     sel = (ts >= t0) & (ts <= t_end)
@@ -347,37 +344,3 @@ def dichotomy_scan(s_values, alpha_values, delta: float) -> ScanResult:
             verdicts.append((s, "inconclusive"))
     return ScanResult(cells=tuple(cells), verdicts=tuple(verdicts))
 
-
-def positive_window(spec: FAlphaSpec, bracket_factor: float = 10.0) -> float:
-    """Upper end of the region where the log-integrand t - E(t) is positive.
-
-    Returns 0.0 when the log-integrand never becomes positive beyond the
-    lower limit.  For s < 1 this endpoint grows like a power of 1/alpha
-    with exponent s/(2s-1); the scan bracket is sized from that power law
-    with a wide safety factor, then the actual sign change is located by
-    bisection, so the bracket choice cannot bias the located value.
-    """
-    t0 = spec.delta / spec.alpha
-    if spec.s < 1.0:
-        guess = (2.0 ** (1.0 / spec.s) / spec.alpha) ** (spec.s / (2.0 * spec.s - 1.0))
-    else:
-        guess = 10.0 * t0
-    hi = max(bracket_factor * guess, t0 + 10.0)
-    ts = np.geomspace(t0, hi, 4096)
-    etas = _log_integrand(spec, ts)
-    pos = np.nonzero(etas > 0.0)[0]
-    if len(pos) == 0:
-        return 0.0
-    last = int(pos[-1])
-    if last == len(ts) - 1:
-        raise QuadratureNonConvergent(
-            "log-integrand still positive at the scan bracket; widen bracket_factor"
-        )
-    lo, up = float(ts[last]), float(ts[last + 1])
-    for _ in range(80):
-        mid = 0.5 * (lo + up)
-        if float(_log_integrand(spec, mid)) > 0.0:
-            lo = mid
-        else:
-            up = mid
-    return 0.5 * (lo + up)

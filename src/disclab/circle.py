@@ -20,9 +20,11 @@ Grids of any power-of-two size from 8 up are supported (2^22 works if
 you have the memory).  Transforms and both radial-derivative methods are
 O(n log n); poisson_radial is dense in radii times modes.
 
-A BoundaryFunction computes its Fourier coefficients once, on first
+A BoundaryFunction computes its cosine coefficients once, on first
 read, and shares them read-only with every coefficient reader; they are
-freed with the function, never kept by the module.
+freed with the function, never kept by the module.  Every reader walks
+the ray to the contact point, where the sine modes vanish, so no sine
+coefficient is kept.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 __all__ = [
     "CircleGrid",
     "BoundaryFunction",
-    "FourierCoeffs",
     "conjugate",
     "hilbert_t1",
     "poisson_radial",
@@ -102,24 +103,21 @@ class BoundaryFunction:
         return float(np.max(np.abs(self.values)))
 
     @functools.cached_property
-    def coeffs(self) -> "FourierCoeffs":
-        """Read-only coefficients of the interpolant, from one rfft on first read.
+    def coeffs(self) -> np.ndarray:
+        """Read-only cosine coefficients a[k], k = 0..n/2, from one rfft on first read.
 
-        Every coefficient reader (both radial_derivative methods,
+        a[n/2] multiplies cos((n/2) theta) directly (no factor 2).  Every
+        coefficient reader (both radial_derivative methods,
         poisson_radial) shares them, and they are freed with the function.
         """
         _require_real(self, "coeffs")
         n = self.grid.n
         spec = np.fft.rfft(self.values)
         a = 2.0 * spec.real / n
-        b = -2.0 * spec.imag / n
         a[0] = spec[0].real / n
         a[-1] = spec[-1].real / n
-        b[0] = 0.0
-        b[-1] = 0.0
         a.flags.writeable = False
-        b.flags.writeable = False
-        return FourierCoeffs(a, b)
+        return a
 
 
 def _frozen_samples(grid: CircleGrid, vals: np.ndarray) -> np.ndarray:
@@ -132,18 +130,6 @@ def _frozen_samples(grid: CircleGrid, vals: np.ndarray) -> np.ndarray:
         raise ValueError("boundary samples must all be finite")
     vals.flags.writeable = False
     return vals
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class FourierCoeffs:
-    """Cosine/sine coefficients a[k], b[k] for k = 0..n/2.
-
-    a[n/2] multiplies cos((n/2) theta) directly (no factor 2); b[0] and
-    b[n/2] are identically zero.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 def _require_real(f: BoundaryFunction, op: str) -> None:
@@ -183,9 +169,9 @@ def poisson_radial(f: BoundaryFunction, radii) -> np.ndarray:
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all((radii >= 0.0) & (radii < 1.0)):
         raise ValueError("all radii must lie in [0, 1)")
-    c = f.coeffs
+    a = f.coeffs
     k = np.arange(1, f.grid.n // 2 + 1, dtype=float)
-    return c.a[0] + np.power.outer(radii, k) @ c.a[1:]
+    return a[0] + np.power.outer(radii, k) @ a[1:]
 
 
 def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
@@ -213,9 +199,8 @@ def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
     equal values is divided by the small 1 - cos theta there.
     """
     _require_real(f, "radial_derivative")
-    c = f.coeffs
-    k = np.arange(1, len(c.a), dtype=float)
-    a = c.a[1:]
+    a = f.coeffs[1:]
+    k = np.arange(1, len(a) + 1, dtype=float)
     if method == "spectral":
         return float(np.dot(k, a))
     if method != "quadrature":

@@ -276,8 +276,9 @@ def alpha_search(cfg: ExperimentConfig, alpha_values) -> PropagationReport:
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
     require_decreasing(alphas)
-    for a in alphas:
-        trial = dataclasses.replace(cfg, alpha=a)
+    # every alpha is validated by its config before the first run
+    trials = [dataclasses.replace(cfg, alpha=a) for a in alphas]
+    for trial in trials:
         try:
             report = run_experiment(trial)
         except NotConverged:

@@ -1,4 +1,4 @@
-"""The squeezing integral: log-domain quadrature, dichotomy scan, onset tracking."""
+"""The squeezing integral: log-domain quadrature, dichotomy scan."""
 
 import dataclasses
 import math
@@ -15,7 +15,6 @@ from disclab import (
     QuadratureNonConvergent,
     dichotomy_scan,
     f_alpha,
-    positive_window,
 )
 from disclab import asymptotics
 from disclab.asymptotics import _MAX_OPEN, _adaptive_simpson
@@ -395,24 +394,3 @@ def test_a_scan_evaluates_each_simpson_level_in_one_call(monkeypatch):
     assert len(sizes) <= 2 * cells + 1 + 41
     assert max(sizes[cells + 1 :]) <= 2 * _MAX_OPEN
 
-
-# ---- positive-window onset
-
-
-def test_positive_window_onsets_and_slope():
-    onsets = {}
-    for alpha in (0.02, 0.01, 0.005):
-        onsets[alpha] = positive_window(spec(0.75, alpha, t_max_cap=20000.0))
-    assert onsets[0.02] == pytest.approx(451.7817, rel=1e-4)
-    assert onsets[0.01] == pytest.approx(1511.0076, rel=1e-4)
-    assert onsets[0.005] == pytest.approx(4684.0108, rel=1e-4)
-    # onset growth follows a power of 1/alpha close to s/(2s-1) = 1.5
-    ts = [onsets[a] for a in (0.02, 0.01, 0.005)]
-    slope = np.polyfit(np.log([1 / 0.02, 1 / 0.01, 1 / 0.005]), np.log(ts), 1)[0]
-    assert slope == pytest.approx(1.6870, abs=0.01)
-    assert abs(slope - 1.5) / 1.5 < 0.20
-
-
-def test_positive_window_zero_when_integrand_stays_negative():
-    assert positive_window(spec(1.0, 0.1)) == 0.0
-    assert positive_window(spec(2.0, 0.2)) == 0.0

@@ -221,6 +221,13 @@ def test_shared_phi_is_read_only(grid14, params01):
 # ---- a surface that actually couples to v
 
 
+def test_expanding_map_is_refused_before_max_iter():
+    # h = 10 (0.1 sin theta + 0.3 y2) triples every iterate's increment
+    p = make_problem(CircleGrid(n=1 << 10), CoupledSurface(10.0))
+    with pytest.raises(NotConverged, match="grew for 5 consecutive"):
+        solve_bishop(p)
+
+
 def test_coupled_solve_is_a_real_fixed_point():
     grid = CircleGrid(n=1 << 12)
     p = make_problem(grid, CoupledSurface(1.0))

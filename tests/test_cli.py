@@ -5,7 +5,9 @@ stderr, and --out files can all be asserted cheaply; one subprocess
 smoke test at the bottom confirms the module entry point works.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import math
 import pathlib
@@ -28,6 +30,7 @@ from disclab import (
     ExperimentConfig,
     FAlphaSpec,
     FlatProfile,
+    asymptotics,
     cli,
 )
 from disclab.cli import dispatch, main
@@ -263,6 +266,30 @@ def test_fa_scan_csv_bytes_are_pinned(capsys):
         "verdict s=1.5: vanishing",
         "verdict s=2.0: vanishing",
     ]
+
+
+def test_fa_scan_reports_failed_cells_in_every_format(monkeypatch, capsys):
+    # with Simpson's depth guard at 0 every cell fails numerically
+    simpson = asymptotics._adaptive_simpson
+    monkeypatch.setattr(
+        asymptotics, "_adaptive_simpson", lambda g, a, b, tol: simpson(g, a, b, tol, max_depth=0)
+    )
+    argv = ["fa-scan", "--s", "1", "--alphas", "0.2,0.1,0.05", "--format"]
+    alphas = (0.2, 0.1, 0.05)
+    note = "verdict s=1.0: inconclusive\nfa-scan: 3 cell(s) failed numerically (nan rows)\n"
+    rc, out, err = run_cli(argv + ["csv"], capsys)
+    assert (rc, err) == (2, note)
+    assert out.splitlines()[1:] == [f"1.0,{a},nan,nan,false" for a in alphas]
+    rc, out, err = run_cli(argv + ["json"], capsys)
+    assert (rc, err) == (2, note)
+    doc = json.loads(out)
+    assert doc["rows"] == [[1.0, a, None, None, False] for a in alphas]
+    assert doc["verdicts"] == [{"s": 1.0, "verdict": "inconclusive"}]
+    rc, out, err = run_cli(argv + ["table"], capsys)
+    assert (rc, err) == (2, note)
+    lines = out.splitlines()
+    assert [line.split() for line in lines[1:4]] == [["1", f"{a:g}", "failed"] for a in alphas]
+    assert lines[4:] == ["", "s=1: inconclusive as alpha decreases"]
 
 
 def test_fa_scan_with_nothing_to_integrate_is_a_validation_error(capsys):
@@ -508,11 +535,14 @@ def test_one_owner_reports_each_bad_parameter(name, bad, capsys):
         (["--etas", "nan,1"], None, "eta must lie in [-1, 1], got nan"),
         ([], '{"etas": [NaN, 1]}', "eta must lie in [-1, 1], got nan"),
         (["--alphas", "0.2,nan"], None, "alpha values must be strictly decreasing, got [0.2, nan]"),
+        (["--alphas", "0.2,0.1,-0.1"], None, "alpha must lie in (0, 1], got -0.1"),
+        (["--alphas", "0.2,0.1,0"], None, "alpha must lie in (0, 1], got 0.0"),
     ],
-    ids=["etas-flag", "etas-config", "alphas-flag"],
+    ids=["etas-flag", "etas-config", "alphas-flag", "alphas-negative", "alphas-zero"],
 )
 def test_nan_in_a_propagate_grid_is_a_validation_error(argv, config, message, tmp_path, capsys):
-    # these once wrote a row nan,nan,nan,true, or returned at alpha = 0.2 before reaching the NaN
+    # these once wrote a row nan,nan,nan,true, or returned at alpha = 0.2 (whose disc points
+    # down) before reaching the NaN or the out-of-range alpha
     if config is not None:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(config)
@@ -611,6 +641,24 @@ def test_wrong_typed_config_value_rejected(tmp_path, capsys, sub, cfg):
     assert rc == 1
     (key,) = cfg
     assert f"validation error: config key {key!r} for subcommand {sub!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "validation error: cannot read config file {path}: [Errno 2] No such file"),
+        ("{not json", "validation error: cannot read config file {path}: Expecting property"),
+        ("[0.2]", "validation error: config file must hold a JSON object"),
+    ],
+    ids=["missing", "invalid-json", "not-an-object"],
+)
+def test_unreadable_config_file_rejected(text, message, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_file.write_text(text)
+    rc, out, err = run_cli(["disc", "--config", str(cfg_file)], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith(message.format(path=cfg_file))
 
 
 def test_bad_flag_value_is_usage_error(capsys):
@@ -899,6 +947,7 @@ def test_help_texts_are_pinned(sub, monkeypatch, capsys):
             "argument --format: invalid choice: 'table' (choose from 'csv', 'json')",
         ),
         (["propagate", "--s"], "argument --s: expected one argument"),
+        (["fa-scan", "--s", ","], "argument --s: expected a comma-separated number list"),
     ],
 )
 def test_usage_error_texts_are_pinned(argv, message, capsys):
@@ -1016,6 +1065,43 @@ def test_package_reexports_each_module_export_list():
         names.extend(module.__all__)
     assert len(disclab.__all__) == len(set(disclab.__all__))
     assert sorted(disclab.__all__) == sorted(["__version__", *names])
+
+
+# public functions that nothing in src/ calls, each with the reason it stays
+_UNCALLED_PUBLIC = {
+    "cauchy_extend": "acceptance criterion 7 reproduces holomorphic data with it",
+    "im_phi_expansion_check": "checks the paper's expansion of Im phi_alpha",
+    "f_alpha": "the one-cell F_alpha API, which perfbench traces",
+}
+
+
+def test_each_public_function_is_called_from_src_or_kept_for_a_reason():
+    # a reference is a name or attribute in code, or an import, outside the function's
+    # own body; docstrings and __all__ strings are not code, and __init__ re-exports all
+    package = pathlib.Path(disclab.__file__).parent
+    referenced = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            names.discard(getattr(stmt, "name", None))
+            referenced |= names
+    uncalled = set()
+    for info in pkgutil.iter_modules(disclab.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"disclab.{info.name}")
+        functions = {name for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+        uncalled |= functions - referenced
+    assert uncalled == set(_UNCALLED_PUBLIC)
 
 
 # ---- documentation

@@ -1,5 +1,6 @@
 """Deformation experiment: classification, radial derivative sign, alpha search."""
 
+import functools
 import math
 import re
 import types
@@ -48,6 +49,10 @@ def test_nan_grids_are_refused_before_any_run(monkeypatch):
     cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096)
     for grid in ([0.2, math.nan], [math.nan, 0.2], [0.2, 0.1, math.nan]):
         with pytest.raises(ValueError, match="alpha values must be strictly decreasing"):
+            alpha_search(cfg, grid)
+    # decreasing, but the last alpha is out of range: refused although 0.2 comes first
+    for grid, bad in (([0.2, 0.1, -0.1], -0.1), ([0.2, 0.1, 0.0], 0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (0, 1], got {bad}")):
             alpha_search(cfg, grid)
     assert runs == []
 
@@ -246,6 +251,19 @@ def test_alpha_search_picks_first_admissible():
     assert rep.points_down
 
 
+def test_alpha_search_skips_an_alpha_whose_run_does_not_converge(monkeypatch):
+    def run(cfg):
+        if cfg.alpha == 0.2:
+            raise NotConverged("refused for the test")
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(propagation, "run_experiment", run)
+    cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096, eta_grid=(1.0,))
+    rep = alpha_search(cfg, (0.2, 0.1))
+    assert rep.alpha == 0.1
+    assert rep.points_down
+
+
 def test_alpha_search_exhausts_honestly():
     # below the s=1 threshold every alpha points up; n stays at the default
     # because 4096 nodes misresolve the marginal alpha=0.05 cell (the sign
@@ -396,7 +414,9 @@ def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
     monkeypatch.setattr(propagation, "phi_on_grid", kept(bishop.phi_on_grid))
     monkeypatch.setattr(profiles.BumpDeformation, "trace_parts",
                         kept(profiles.BumpDeformation.trace_parts))
-    monkeypatch.setattr(circle, "FourierCoeffs", kept(circle.FourierCoeffs))
+    coeffs = functools.cached_property(kept(circle.BoundaryFunction.coeffs.func))
+    coeffs.__set_name__(circle.BoundaryFunction, "coeffs")
+    monkeypatch.setattr(circle.BoundaryFunction, "coeffs", coeffs)
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
     assert report.points_down
     # phi, weight, base values and each u's coefficients
