@@ -18,7 +18,6 @@ exact-trailing-zero branch are formatted by `repr` itself.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -109,24 +108,12 @@ def _tables() -> tuple:
     return mul, exps, _patterns() * _BLOCK
 
 
-def encode(x, out=None) -> np.ndarray:
-    """repr of each value of x as NUL-padded bytes, in an array of shape x.shape + (WIDTH,).
-
-    `out`, if given, is that array, with any strides (say the cells of a
-    wider row matrix); it is filled and returned.
-    """
+def encode(x) -> np.ndarray:
+    """repr of each value of the 1-D x as NUL-padded bytes: shape (len(x), WIDTH)."""
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty(x.shape + (WIDTH,), np.uint8)
-    per_row = math.prod(x.shape[1:])
-    if per_row > _BLOCK:
-        for row, cells in zip(x, out):
-            encode(row, cells)
-        return out
-    step = _BLOCK // max(per_row, 1)  # whole rows of x per pass
-    for lo in range(0, len(x), step):
-        part = x[lo : lo + step]
-        out[lo : lo + step] = _encode_block(part.ravel()).reshape(part.shape + (WIDTH,))
+    out = np.empty((len(x), WIDTH), np.uint8)
+    for lo in range(0, len(x), _BLOCK):
+        out[lo : lo + _BLOCK] = _encode_block(x[lo : lo + _BLOCK])
     return out
 
 
@@ -190,7 +177,7 @@ def _shortest(vr, vp, vm):
 
 
 def _encode_block(x) -> np.ndarray:
-    """(len(x), WIDTH) bytes of the contiguous 1-D float64 array x."""
+    """(len(x), WIDTH) bytes of the 1-D float64 array x, len(x) <= _BLOCK."""
     mul_table, exp_table, patterns = _tables()
     k = len(x)
     bits = x.view(np.uint64)

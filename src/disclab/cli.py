@@ -15,9 +15,9 @@ three.  Data goes to --out (default standard output) as CSV or JSON,
 or, for `flatness`, `fa-scan` and `propagate`, as a human-readable
 table; progress and verdict messages go to standard error.  CSV is
 formatted and written a block of rows at a time, so the whole text is
-never held at once.  A block is one byte matrix: each run of adjacent
-float columns is one `_floattext.encode` call, which writes every
-value's `repr` bytes straight into its cell.  Outputs are deterministic:
+never held at once.  A block is one byte matrix: one `_floattext.encode`
+call returns the `repr` bytes of all its float columns as fixed-width
+cells, which are copied into their columns.  Outputs are deterministic:
 the same resolved configuration produces byte-identical bytes.
 
 Exit codes: 0 success, 1 validation error (bad flag or config values,
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import re
@@ -158,6 +157,8 @@ def _resolve(sub: str, args: argparse.Namespace) -> dict:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -191,31 +192,27 @@ def _csv_chunks(header, columns):
 def _csv_rows(columns) -> str:
     """Equal-length columns as CSV rows, formatted into one NUL-padded byte matrix.
 
-    Each run of adjacent float-array columns is one `encode` call, which
-    writes each value's repr into its cell of the matrix; other columns go
-    through _fmt.  The rows then drop their NULs.
+    The float-array columns share one `encode` call, whose cells go back to
+    their columns in order; other columns go through _fmt.  The rows then
+    drop their NULs.
     """
     rows = len(columns[0])
-    parts = []  # a run of float columns as a (count, rows) array, or one column's text
-    for is_float, run in itertools.groupby(columns, _is_float_array):
-        if is_float:
-            parts.append(np.stack(list(run), dtype=np.float64))
-        else:
-            for column in run:
-                cells = np.array([_fmt(v) for v in column], "S")
-                parts.append(cells.view(np.uint8).reshape(rows, -1))
-    widths = [len(p) * (WIDTH + 1) if p.dtype.kind == "f" else p.shape[1] + 1 for p in parts]
-    text = np.empty((rows, sum(widths)), np.uint8)
+    floats = [col for col in columns if _is_float_array(col)]
+    cells = encode(np.concatenate([np.empty(0), *floats]))
+    encoded = iter(cells.reshape(len(floats), rows, WIDTH))
+    parts = [
+        next(encoded)
+        if _is_float_array(col)
+        else np.array([_fmt(v) for v in col], "S").view(np.uint8).reshape(rows, -1)
+        for col in columns
+    ]
+    text = np.empty((rows, sum(part.shape[1] + 1 for part in parts)), np.uint8)
     at = 0
-    for part, width in zip(parts, widths):
-        cells = text[:, at : at + width]
-        at += width
-        if part.dtype.kind == "f":
-            cells = cells.reshape(rows, len(part), WIDTH + 1).transpose(1, 0, 2)
-            encode(part, out=cells[..., :WIDTH])
-        else:
-            cells[..., :-1] = part
-        cells[..., -1] = ord(",")
+    for part in parts:
+        width = part.shape[1]
+        text[:, at : at + width] = part
+        text[:, at + width] = ord(",")
+        at += width + 1
     text[:, -1] = ord("\n")
     return text[text != 0].tobytes().decode("ascii")
 
@@ -370,7 +367,7 @@ def _flatness_table(alpha, orders) -> list:
 def _run_fa_scan(cfg, out_path, fmt) -> int:
     result = dichotomy_scan(cfg["s"], cfg["alphas"], cfg["delta"])
     rows = [
-        (s, a, math.nan, math.nan, False)
+        (s, a, math.nan, math.nan, None)  # a failed cell cannot tell if it was truncated
         if res is None
         else (s, a, res.value, res.abs_err, res.truncated)
         for s, a, res in result.cells

@@ -122,6 +122,17 @@ class PropagationReport:
     config: ExperimentConfig
 
 
+def _head_problem(cfg: ExperimentConfig) -> BishopProblem:
+    """The eta = 1 problem: built without an array, it refuses a bad tol or window."""
+    return BishopProblem(
+        grid=CircleGrid(n=cfg.n),
+        disc=DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift),
+        surface=_surface(cfg, 1.0),
+        tol=cfg.tol,
+        max_iter=cfg.max_iter,
+    )
+
+
 class _Sweep:
     """The work of one experiment, shared by its two solves and all its cells.
 
@@ -138,33 +149,23 @@ class _Sweep:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.grid = CircleGrid(n=cfg.n)
-        self.params = DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift)
-        # the head problem refuses a bad tol or an unresolved window before any array is built
-        head = self._problem(_surface(cfg, 1.0))
-        if getattr(head.surface, "couples_to_y2", True):
+        self.head = _head_problem(cfg)
+        self.grid, self.params = self.head.grid, self.head.disc
+        if getattr(self.head.surface, "couples_to_y2", True):
             raise ValueError("an eta sweep needs a surface that ignores y2")
         self.phi = phi_on_grid(self.params, self.grid)
-        self.weight, self.base_vals = head.surface.trace_parts(
+        self.weight, self.base_vals = self.head.surface.trace_parts(
             self.grid.theta, self.phi.values, None
         )
         center = SQUEEZE_LIMIT - cfg.eps_shift
         self.center_dist2 = np.abs(self.phi.values - center) ** 2
 
-    def _problem(self, surface: BumpDeformation, **shared) -> BishopProblem:
-        return BishopProblem(
-            grid=self.grid,
-            disc=self.params,
-            surface=surface,
-            tol=self.cfg.tol,
-            max_iter=self.cfg.max_iter,
-            **shared,
-        )
-
     def solve(self, eta: float) -> AttachedDisc:
         surface = _surface(self.cfg, eta)
         trace = surface.combine(self.weight, self.base_vals)
-        return solve_bishop(self._problem(surface, phi=self.phi, trace=trace))
+        return solve_bishop(
+            dataclasses.replace(self.head, surface=surface, phi=self.phi, trace=trace)
+        )
 
     def values(self, disc: AttachedDisc) -> tuple:
         """(u, v, spectral radial derivative, u along the coverage radii) of one solve."""
@@ -276,8 +277,10 @@ def alpha_search(cfg: ExperimentConfig, alpha_values) -> PropagationReport:
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
     require_decreasing(alphas)
-    # every alpha is validated by its config before the first run
+    # every alpha's config and head problem refuse it before the first run
     trials = [dataclasses.replace(cfg, alpha=a) for a in alphas]
+    for trial in trials:
+        _head_problem(trial)
     for trial in trials:
         try:
             report = run_experiment(trial)

@@ -146,6 +146,13 @@ def test_holomorphy_defect_examples():
     assert abs(d - 1.0) <= 1e-12
 
 
+def test_holomorphy_defect_refuses_grids_of_different_sizes():
+    g, h = CircleGrid(n=256), CircleGrid(n=512)
+    u = BoundaryFunction(g, np.cos(g.theta))
+    with pytest.raises(ValueError, match="grids of the same size"):
+        holomorphy_defect(u, BoundaryFunction(h, np.sin(h.theta)))
+
+
 # ---- Poisson extension
 
 

@@ -71,6 +71,19 @@ def test_selftest_writes_to_out_and_has_no_format(tmp_path, capsys):
     assert "usage error" in err
 
 
+def test_selftest_failing_identity_exits_2(monkeypatch, capsys):
+    checks = [("identity a", 1e-15), ("identity b", 3e-6), ("identity c", 0.0)]
+    monkeypatch.setattr(cli, "spectral_identity_errors", lambda n: checks)
+    rc, out, err = run_cli(["selftest", "--n", "64"], capsys)
+    assert rc == 2
+    assert out.splitlines() == [
+        "ok identity a: max err 1.000e-15",
+        "FAIL identity b: max err 3.000e-06",
+        "ok identity c: max err 0.000e+00",
+    ]
+    assert err == "selftest: 1 of 3 identities failed\n"
+
+
 # ---- disc
 
 
@@ -279,11 +292,11 @@ def test_fa_scan_reports_failed_cells_in_every_format(monkeypatch, capsys):
     note = "verdict s=1.0: inconclusive\nfa-scan: 3 cell(s) failed numerically (nan rows)\n"
     rc, out, err = run_cli(argv + ["csv"], capsys)
     assert (rc, err) == (2, note)
-    assert out.splitlines()[1:] == [f"1.0,{a},nan,nan,false" for a in alphas]
+    assert out.splitlines()[1:] == [f"1.0,{a},nan,nan," for a in alphas]
     rc, out, err = run_cli(argv + ["json"], capsys)
     assert (rc, err) == (2, note)
     doc = json.loads(out)
-    assert doc["rows"] == [[1.0, a, None, None, False] for a in alphas]
+    assert doc["rows"] == [[1.0, a, None, None, None] for a in alphas]
     assert doc["verdicts"] == [{"s": 1.0, "verdict": "inconclusive"}]
     rc, out, err = run_cli(argv + ["table"], capsys)
     assert (rc, err) == (2, note)
@@ -389,6 +402,13 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
             ["attach", "--n", "4096", "--alpha", "0.2", "--delta", "inf"],
             "delta must be positive and finite, got inf",
         ),
+        # every searched alpha's window is checked before the first run
+        (
+            ["propagate", "--n", "4096", "--alphas", "0.2,0.02"],
+            "grid of 4096 nodes cannot resolve the deformation window 6.737947e-03; "
+            "need n >= 16384",
+        ),
+        (["propagate", "--alphas", "0.2,0.1", "--alpha", "5"], "alpha must lie in (0, 1], got 5.0"),
         (
             ["propagate", "--n", "4096", "--alpha", "0.2", "--delta", "inf"],
             "delta must be positive and finite, got inf",
@@ -412,6 +432,8 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
     ids=[
         "attach-window-underflow",
         "propagate-window-underflow",
+        "propagate-search-window",
+        "propagate-search-alpha",
         "attach-delta-inf",
         "propagate-delta-inf",
         "attach-s-inf",
@@ -865,8 +887,9 @@ def test_csv_chunk_size_leaves_the_bytes(chunk_rows, monkeypatch, capsys):
 @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
 def test_csv_writer_mixed_and_special_columns(chunk_rows, tmp_path, monkeypatch):
     # no golden file holds these: nan, +-inf, -0.0, subnormals and both
-    # notations, beside int, bool and tuple columns; the reference is the
-    # per-row repr/str formula
+    # notations, beside int, bool and tuple columns, and a second float
+    # column after them that shares the chunk's encode call with the
+    # first; the reference is the per-row repr/str formula
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
     special += [1e-5, 1e-4, 0.1, -1.5, 1e16, 9999999999999998.0, 1e22, 2.0**53 + 2, -1.8e308]
     spread = np.random.default_rng(5).standard_normal(23) * 10.0 ** np.arange(-11, 12)
@@ -874,14 +897,16 @@ def test_csv_writer_mixed_and_special_columns(chunk_rows, tmp_path, monkeypatch)
     ints = np.arange(len(floats)) - 20
     flags = ints % 3 == 0
     backwards = tuple(floats[::-1].tolist())
+    scaled = -floats[::-1] * 1e-3
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
     out_file = tmp_path / "mixed.csv"
-    cli._write_csv(str(out_file), ("x", "k", "flag", "y"), (floats, ints, flags, backwards))
+    header = ("x", "k", "flag", "y", "z")
+    cli._write_csv(str(out_file), header, (floats, ints, flags, backwards, scaled))
     rows = [
-        ",".join([repr(float(x)), str(k), "true" if f else "false", repr(y)])
-        for x, k, f, y in zip(floats, ints, flags, backwards)
+        ",".join([repr(float(x)), str(k), "true" if f else "false", repr(y), repr(float(z))])
+        for x, k, f, y, z in zip(floats, ints, flags, backwards, scaled)
     ]
-    assert out_file.read_text() == "x,k,flag,y\n" + "".join(row + "\n" for row in rows)
+    assert out_file.read_text() == "x,k,flag,y,z\n" + "".join(row + "\n" for row in rows)
 
 
 def test_attach_csv_on_stdout_is_the_out_file_written_in_row_chunks(tmp_path, monkeypatch):

@@ -67,20 +67,6 @@ def test_any_float(values):
     assert_repr_bytes(values)
 
 
-def test_values_written_into_strided_cells():
-    # a (columns, rows) array into the cells of a row matrix, one byte apart;
-    # the first shape has rows longer than one pass of the kernel
-    rng = np.random.default_rng(11)
-    for shape in [(3, 5000), (5, 7), (2, 1)]:
-        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-        matrix = np.zeros((shape[1], shape[0], WIDTH + 1), np.uint8)
-        cells = matrix.transpose(1, 0, 2)[..., :WIDTH]
-        assert encode(x, out=cells) is cells
-        for column, got in zip(x, cells):
-            assert (got == reference(column)).all()
-        assert not matrix[..., WIDTH].any()
-
-
 def ryu_multiplier(ieee_e):
     """Ryu's multiplier M and shift j for a biased exponent, in Python integers."""
     e2 = max(ieee_e, 1) - 1077
