@@ -71,6 +71,9 @@ _CREST_DROP = 40.0
 # opens at most 908 over all its cells
 _MAX_OPEN = 4096
 
+# bisection levels a Simpson panel may go down before its cell fails
+_MAX_DEPTH = 40
+
 
 @dataclasses.dataclass(frozen=True)
 class FAlphaSpec:
@@ -118,12 +121,12 @@ def _simpson(x0, f0, x1, f1, x2, f2):
     return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
 
-def _adaptive_simpson(g, a, b, tol, max_depth: int = 40) -> list:
+def _adaptive_simpson(g, a, b, tol) -> list:
     """Adaptive Simpson with Richardson correction over many cells at once.
 
     Cell c runs over [a[c], b[c]] to the absolute tolerance tol[c].  The
     result holds (value, err) per cell, or the QuadratureNonConvergent of
-    a cell that passed max_depth while the others went on.  g(cells, t)
+    a cell that passed _MAX_DEPTH while the others went on.  g(cells, t)
     evaluates nodes t, each of its own cell: the three starting nodes of
     every cell in one call, then the new midpoints of up to _MAX_OPEN
     open panels of one level per call, whatever their cells.  Each cell's
@@ -158,13 +161,13 @@ def _adaptive_simpson(g, a, b, tol, max_depth: int = 40) -> list:
             panels, owner = panels[:, keep], owner[keep]
             if not owner.size:
                 continue
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             # name each cell's rightmost panel: depth first would have reached it first
             last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True))
             for c, x0, x2 in zip(*(v[last].tolist() for v in (owner, panels[0], panels[2]))):
                 alive[c] = False
                 outcomes[c] = QuadratureNonConvergent(
-                    f"Simpson bisection exceeded depth {max_depth} on [{x0:.6g}, {x2:.6g}]"
+                    f"Simpson bisection exceeded depth {_MAX_DEPTH} on [{x0:.6g}, {x2:.6g}]"
                 )
             continue
         if owner.size > _MAX_OPEN:

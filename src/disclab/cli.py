@@ -21,16 +21,20 @@ cells, which are copied into their columns.  Outputs are deterministic:
 the same resolved configuration produces byte-identical bytes.
 
 Exit codes: 0 success, 1 validation error (bad flag or config values,
-unresolvable grids), 2 numerical failure (non-convergence), with the
-failure serialized to the output target as a JSON error object.
+unresolvable grids) or an output target that cannot be written (one
+`output error:` line on standard error), 2 numerical failure
+(non-convergence), with the failure serialized to the output target as
+a JSON error object.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import os
 import re
 import sys
 from typing import NamedTuple
@@ -77,31 +81,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # argparse would exit(2)
         raise _UsageError(message)
-
-
-class _Unbuilt:
-    """A subcommand's place among the choices; its parser is built when it is parsed.
-
-    The subcommand action reads nothing of a subparser but
-    parse_known_args, and the choice's help line is kept by the action
-    itself, so the other subcommands' parsers are never built.
-    """
-
-    def __init__(self, prog: str, spec):
-        self.prog = prog
-        self.spec = spec
-
-    def parse_known_args(self, args=None, namespace=None):
-        spec = self.spec
-        parser = _Parser(prog=self.prog)
-        for param in spec.params:
-            flag = "--" + param.name.replace("_", "-")
-            parser.add_argument(flag, type=param.kind, help=param.help)
-        parser.add_argument("--out", help="output path (default: stdout)")
-        if spec.formats:
-            parser.add_argument("--format", default=spec.formats[0], choices=spec.formats)
-        parser.add_argument("--config", help="JSON file with parameter defaults")
-        return parser.parse_known_args(args, namespace)
 
 
 def _floats(val) -> tuple:
@@ -221,39 +200,20 @@ def _is_float_array(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2) + "\n"
-
-
-def _emit_lines(lines) -> str:
-    return "".join(line + "\n" for line in lines)
-
-
 def _write_as(out_path, fmt, **payloads) -> None:
-    """The payload of format `fmt`, built only now: csv, json or table.
+    """The payload of format `fmt`, built only now, written to out_path or stdout.
 
     Each payload is a function: csv returns (header, columns), json the
-    document, table the lines; the others are never called.
+    document, any other format its lines; the others are never called.
+    CSV is written as it is formatted.
     """
     build = payloads[fmt]
     if fmt == "csv":
-        _write_csv(out_path, *build())
+        chunks = _csv_chunks(*build())
     elif fmt == "json":
-        _write(out_path, _emit_json(build()))
+        chunks = (json.dumps(_jsonable(build()), indent=2) + "\n",)
     else:
-        _write(out_path, _emit_lines(build()))
-
-
-def _write_csv(out_path, header, columns) -> None:
-    """`columns` (equal-length arrays or sequences) as CSV, written as it is formatted."""
-    _write_chunks(out_path, _csv_chunks(header, columns))
-
-
-def _write(out_path, text: str) -> None:
-    _write_chunks(out_path, (text,))
-
-
-def _write_chunks(out_path, chunks) -> None:
+        chunks = ("".join(line + "\n" for line in build()),)
     if out_path is None or out_path == "-":
         sys.stdout.writelines(chunks)
     else:
@@ -273,7 +233,7 @@ def _run_selftest(cfg, out_path, fmt) -> int:
     lines = [
         f"{'ok' if err <= 1e-12 else 'FAIL'} {name}: max err {err:.3e}" for name, err in checks
     ]
-    _write(out_path, _emit_lines(lines))
+    _write_as(out_path, "table", table=lambda: lines)
     failures = sum(line.startswith("FAIL") for line in lines)
     if failures:
         _note(f"selftest: {failures} of {len(checks)} identities failed")
@@ -613,39 +573,59 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """The `disclab` parser; a subcommand's parser is built only once it is chosen."""
+    """The `disclab` parser with every subcommand and flag, built once per process."""
     parser = _Parser(prog="disclab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Unbuilt)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name, spec in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=spec.help, spec=spec)
+        subparser = sub.add_parser(name, help=spec.help)
+        for param in spec.params:
+            flag = "--" + param.name.replace("_", "-")
+            subparser.add_argument(flag, type=param.kind, help=param.help)
+        subparser.add_argument("--out", help="output path (default: stdout)")
+        if spec.formats:
+            subparser.add_argument("--format", default=spec.formats[0], choices=spec.formats)
+        subparser.add_argument("--config", help="JSON file with parameter defaults")
     return parser
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line in-process and return its exit code."""
     out_path = None
     try:
-        args = parser.parse_args(argv)
-        out_path = args.out
-        cfg = _resolve(args.subcommand, args)
-        run = _SUBCOMMANDS[args.subcommand].run
-        return run(cfg, out_path, getattr(args, "format", None))
-    except _UsageError as exc:
-        _note(f"usage error: {exc}")
+        try:
+            args = build_parser().parse_args(argv)
+            out_path = args.out
+            cfg = _resolve(args.subcommand, args)
+            run = _SUBCOMMANDS[args.subcommand].run
+            return run(cfg, out_path, getattr(args, "format", None))
+        except _UsageError as exc:
+            _note(f"usage error: {exc}")
+            return 1
+        except ValueError as exc:
+            _note(f"validation error: {exc}")
+            return 1
+        except DiscLabError as exc:
+            _note(f"numerical failure: {exc}")
+            payload = {"error": type(exc).__name__, "message": str(exc)}
+            _write_as(out_path, "json", json=lambda: payload)
+            return 2
+    except OSError as exc:  # the output target, also when it takes a failure's error object
+        _note(f"output error: {exc}")
         return 1
-    except ValueError as exc:
-        _note(f"validation error: {exc}")
-        return 1
-    except DiscLabError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        _write(out_path, _emit_json(payload))
-        _note(f"numerical failure: {exc}")
-        return 2
 
 
 def main(argv=None) -> int:
-    return dispatch(argv)
+    """dispatch for a whole process."""
+    try:
+        return dispatch(argv)
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: what stdout still buffers goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -186,15 +186,13 @@ class _Sweep:
         """
         u, v, rd, along_ray = values
         on_surface = np.abs(u - self.base_vals) <= self.cfg.tol
-        dist = np.sqrt(self.center_dist2 + u**2 + v**2)
-        in_ball = dist <= self.cfg.delta
-        neither = ~(on_surface | in_ball)
+        in_ball = np.sqrt(self.center_dist2 + u**2 + v**2) <= self.cfg.delta
         return EtaCell(
             eta=eta,
             converged=True,
-            on_surface=int(np.sum(on_surface)),
-            in_ball=int(np.sum(in_ball)),
-            neither=int(np.sum(neither)),
+            on_surface=int(np.count_nonzero(on_surface)),
+            in_ball=int(np.count_nonzero(in_ball)),
+            neither=len(u) - int(np.count_nonzero(on_surface | in_ball)),
             radial_derivative=rd,
             min_x2=float(np.min(along_ray)),
         )

@@ -114,9 +114,9 @@ def counted(f):
     return g, sizes
 
 
-def simpson(g, a, b, tol, **kw):
+def simpson(g, a, b, tol):
     """One cell of the batched Simpson core; raises that cell's failure."""
-    (out,) = _adaptive_simpson(lambda cells, t: g(t), [a], [b], [tol], **kw)
+    (out,) = _adaptive_simpson(lambda cells, t: g(t), [a], [b], [tol])
     if isinstance(out, QuadratureNonConvergent):
         raise out
     return out
@@ -187,7 +187,7 @@ def test_simpson_levels_match_the_depth_first_bisection(f, a, b, tol):
     assert all(size % 2 == 0 for size in sizes[1:])
 
 
-def test_simpson_depth_guard_matches_the_depth_first_bisection():
+def test_simpson_depth_guard_matches_the_depth_first_bisection(monkeypatch):
     # both kinks go too deep; the depth-first bisection reaches the right one first
     def f(t):
         return abs(t - 0.3) ** 0.5 + abs(t - 0.8) ** 0.5
@@ -195,8 +195,9 @@ def test_simpson_depth_guard_matches_the_depth_first_bisection():
     with pytest.raises(QuadratureNonConvergent) as ref:
         depth_first_simpson(f, 0.0, 1.0, 1e-6, max_depth=10)
     g, _ = counted(f)
+    monkeypatch.setattr(asymptotics, "_MAX_DEPTH", 10)
     with pytest.raises(QuadratureNonConvergent) as new:
-        simpson(g, 0.0, 1.0, 1e-6, max_depth=10)
+        simpson(g, 0.0, 1.0, 1e-6)
     assert str(new.value) == str(ref.value)
     assert str(new.value).endswith("on [0.800293, 0.800781]")
 

@@ -1,8 +1,9 @@
 """End-to-end checks of the command-line front end, and of the package's exports.
 
 Everything runs in-process through main(argv) so exit codes, stdout,
-stderr, and --out files can all be asserted cheaply; one subprocess
-smoke test at the bottom confirms the module entry point works.
+stderr, and --out files can all be asserted cheaply; two subprocess
+tests at the bottom run the module entry point, once to completion and
+once into a pipe that its reader closes.
 """
 
 import ast
@@ -283,10 +284,7 @@ def test_fa_scan_csv_bytes_are_pinned(capsys):
 
 def test_fa_scan_reports_failed_cells_in_every_format(monkeypatch, capsys):
     # with Simpson's depth guard at 0 every cell fails numerically
-    simpson = asymptotics._adaptive_simpson
-    monkeypatch.setattr(
-        asymptotics, "_adaptive_simpson", lambda g, a, b, tol: simpson(g, a, b, tol, max_depth=0)
-    )
+    monkeypatch.setattr(asymptotics, "_MAX_DEPTH", 0)
     argv = ["fa-scan", "--s", "1", "--alphas", "0.2,0.1,0.05", "--format"]
     alphas = (0.2, 0.1, 0.05)
     note = "verdict s=1.0: inconclusive\nfa-scan: 3 cell(s) failed numerically (nan rows)\n"
@@ -607,6 +605,25 @@ def test_attach_nonconvergence_exit_code_and_payload(tmp_path, capsys):
     assert "1 iterations" in doc["message"]
 
 
+def test_unwritable_out_is_an_output_error(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(["attach", "--n", "1024", "--out", str(out_file)], capsys)
+    assert (rc, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("output error: ") and str(out_file) in line
+    assert not out_file.parent.exists()
+
+
+def test_numerical_failure_with_unwritable_out(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "x.json"
+    argv = ["propagate", "--n", "4096", "--alpha", "0.2", "--max-iter", "1"]
+    rc, out, err = run_cli(argv + ["--out", str(out_file)], capsys)
+    assert (rc, out) == (1, "")
+    failure, output = err.splitlines()
+    assert failure.startswith("numerical failure: ")
+    assert output.startswith("output error: ") and str(out_file) in output
+
+
 # ---- configuration layering
 
 
@@ -901,7 +918,8 @@ def test_csv_writer_mixed_and_special_columns(chunk_rows, tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
     out_file = tmp_path / "mixed.csv"
     header = ("x", "k", "flag", "y", "z")
-    cli._write_csv(str(out_file), header, (floats, ints, flags, backwards, scaled))
+    columns = (floats, ints, flags, backwards, scaled)
+    cli._write_as(str(out_file), "csv", csv=lambda: (header, columns))
     rows = [
         ",".join([repr(float(x)), str(k), "true" if f else "false", repr(y), repr(float(z))])
         for x, k, f, y, z in zip(floats, ints, flags, backwards, scaled)
@@ -982,44 +1000,33 @@ def test_usage_error_texts_are_pinned(argv, message, capsys):
     assert err == f"usage error: {message}\n"
 
 
-def test_only_the_chosen_subcommand_gets_its_flags(monkeypatch, capsys):
-    added = []
-    add_argument = cli._Parser.add_argument
-
-    def recorded(self, *flags, **kwargs):
-        added.append(flags[0])
-        return add_argument(self, *flags, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "add_argument", recorded)
+def test_a_second_dispatch_builds_no_parser(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
     rc, _, _ = run_cli(["disc", "--n", "64"], capsys)
     assert rc == 0
-    assert [flag for flag in added if flag != "-h"] == [
-        "--alpha",
-        "--eps-shift",
-        "--delta",
-        "--n",
-        "--out",
-        "--format",
-        "--config",
-    ]
-
-
-def test_only_the_chosen_subcommand_parser_is_built(monkeypatch, capsys):
-    progs = []
+    built = []
     init = cli._Parser.__init__
 
     def recorded(self, *args, **kwargs):
-        progs.append(kwargs["prog"])
+        built.append(kwargs["prog"])
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", recorded)
+    rc, _, _ = run_cli(["attach", "--n", "64"], capsys)
+    assert rc == 0
+    assert built == []
+
+
+@_PYTHON_311
+def test_help_from_the_cached_parser_is_pinned(monkeypatch, capsys):
+    # the parser that parsed `disc` prints the help of `propagate`
+    monkeypatch.setenv("COLUMNS", "80")
     rc, _, _ = run_cli(["disc", "--n", "64"], capsys)
     assert rc == 0
-    assert progs == ["disclab", "disclab disc"]
-    progs.clear()
-    rc, _, err = run_cli(["bogus"], capsys)
-    assert rc == 1 and "invalid choice" in err
-    assert progs == ["disclab"]
+    with pytest.raises(SystemExit) as exc:
+        main(["propagate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / "help_propagate.txt").read_text()
 
 
 _PAYLOAD_RUNS = [
@@ -1160,3 +1167,22 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("ok ") == 5
+
+
+def test_stdout_closed_by_its_reader():
+    # the CSV is about 3 MB, so the child is still writing when the pipe closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "disclab.cli", "attach", "--n", "65536"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=package_env(),
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert header == "theta,re_phi,im_phi,u,v\n"
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err and "Exception ignored" not in err
