@@ -12,7 +12,8 @@ product times 4, plus 2M or minus (1 + mm_shift)M, shifted right by j
 (as Dragonbox, J. Jeon 2020, takes both ends of the interval from the
 value's own product).  The digits come from five uint16 groups of four
 places.  nan, +-inf, +-0.0 and the values Ryu sends through its
-exact-trailing-zero branch are formatted by `repr` itself.
+exact-trailing-zero branch are formatted by `repr` itself.  `csv_rows`
+lays a block of float columns out as CSV text.
 """
 
 from __future__ import annotations
@@ -115,6 +116,16 @@ def encode(x) -> np.ndarray:
     for lo in range(0, len(x), _BLOCK):
         out[lo : lo + _BLOCK] = _encode_block(x[lo : lo + _BLOCK])
     return out
+
+
+def csv_rows(columns) -> str:
+    """Equal-length 1-D float columns as CSV rows of each value's repr."""
+    text = np.empty((len(columns[0]), len(columns), WIDTH + 1), np.uint8)
+    for j, column in enumerate(columns):
+        text[:, j, :WIDTH] = encode(column)
+    text[:, :, WIDTH] = ord(",")
+    text[:, -1, WIDTH] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _bounds(mv, mul, shift, mm_shift):

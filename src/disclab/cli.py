@@ -15,9 +15,9 @@ three.  Data goes to --out (default standard output) as CSV or JSON,
 or, for `flatness`, `fa-scan` and `propagate`, as a human-readable
 table; progress and verdict messages go to standard error.  CSV is
 formatted and written a block of rows at a time, so the whole text is
-never held at once.  A block is one byte matrix: one `_floattext.encode`
-call returns the `repr` bytes of all its float columns as fixed-width
-cells, which are copied into their columns.  Outputs are deterministic:
+never held at once.  A block whose every column is a float array is
+written by `_floattext.csv_rows`, any other block row by row through
+`_fmt`, a float as its `repr` either way.  Outputs are deterministic:
 the same resolved configuration produces byte-identical bytes.
 
 Exit codes: 0 success, 1 validation error (bad flag or config values,
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._floattext import WIDTH, encode
+from ._floattext import csv_rows
 from .asymptotics import FAlphaSpec, dichotomy_scan
 from .bishop import BishopProblem, attachment_residual, solve_bishop
 from .circle import CircleGrid, spectral_identity_errors
@@ -164,40 +164,13 @@ def _csv_chunks(header, columns):
     """The CSV text of `columns` under `header`, _CSV_CHUNK_ROWS rows at a time."""
     yield ",".join(header) + "\n"
     n = min(map(len, columns), default=0)
+    floats = all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns)
     for lo in range(0, n, _CSV_CHUNK_ROWS):
-        yield _csv_rows([col[lo : lo + _CSV_CHUNK_ROWS] for col in columns])
-
-
-def _csv_rows(columns) -> str:
-    """Equal-length columns as CSV rows, formatted into one NUL-padded byte matrix.
-
-    The float-array columns share one `encode` call, whose cells go back to
-    their columns in order; other columns go through _fmt.  The rows then
-    drop their NULs.
-    """
-    rows = len(columns[0])
-    floats = [col for col in columns if _is_float_array(col)]
-    cells = encode(np.concatenate([np.empty(0), *floats]))
-    encoded = iter(cells.reshape(len(floats), rows, WIDTH))
-    parts = [
-        next(encoded)
-        if _is_float_array(col)
-        else np.array([_fmt(v) for v in col], "S").view(np.uint8).reshape(rows, -1)
-        for col in columns
-    ]
-    text = np.empty((rows, sum(part.shape[1] + 1 for part in parts)), np.uint8)
-    at = 0
-    for part in parts:
-        width = part.shape[1]
-        text[:, at : at + width] = part
-        text[:, at + width] = ord(",")
-        at += width + 1
-    text[:, -1] = ord("\n")
-    return text[text != 0].tobytes().decode("ascii")
-
-
-def _is_float_array(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        block = [col[lo : lo + _CSV_CHUNK_ROWS] for col in columns]
+        if floats:
+            yield csv_rows(block)
+        else:
+            yield "".join(",".join(map(_fmt, row)) + "\n" for row in zip(*block))
 
 
 def _write_as(out_path, fmt, **payloads) -> None:

@@ -269,7 +269,7 @@ def alpha_search(cfg: ExperimentConfig, alpha_values) -> PropagationReport:
 
     Returns the report of the largest alpha whose disc points down.
     Raises NoAdmissibleAlpha when the whole grid fails, with the scanned
-    values recorded in the message.
+    values, and those whose run did not converge, recorded in the message.
     """
     alphas = [float(a) for a in alpha_values]
     if not alphas:
@@ -279,13 +279,16 @@ def alpha_search(cfg: ExperimentConfig, alpha_values) -> PropagationReport:
     trials = [dataclasses.replace(cfg, alpha=a) for a in alphas]
     for trial in trials:
         _head_problem(trial)
+    failed = []
     for trial in trials:
         try:
             report = run_experiment(trial)
         except NotConverged:
+            failed.append(trial.alpha)
             continue
         if report.points_down:
             return report
-    raise NoAdmissibleAlpha(
-        f"no alpha in {alphas} produced a downward-pointing disc at s = {cfg.s}"
-    )
+    message = f"no alpha in {alphas} produced a downward-pointing disc at s = {cfg.s}"
+    if failed:
+        message += f"; the run did not converge at alpha in {failed}"
+    raise NoAdmissibleAlpha(message)

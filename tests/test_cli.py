@@ -31,6 +31,7 @@ from disclab import (
     ExperimentConfig,
     FAlphaSpec,
     FlatProfile,
+    _floattext,
     asymptotics,
     cli,
 )
@@ -856,6 +857,21 @@ def test_propagate_exhausted_alpha_search_bytes(capsys):
     assert err == "numerical failure: " + message + "\n"
 
 
+def test_propagate_alpha_search_names_the_runs_that_did_not_converge(capsys):
+    # one Picard step attaches no disc at any alpha: the search must not
+    # read that as every disc pointing up
+    rc, out, err = run_cli(
+        ["propagate", "--n", "4096", "--alphas", "0.2,0.1", "--max-iter", "1"], capsys
+    )
+    message = (
+        "no alpha in [0.2, 0.1] produced a downward-pointing disc at s = 1.0; "
+        "the run did not converge at alpha in [0.2, 0.1]"
+    )
+    assert rc == 2
+    assert json.loads(out) == {"error": "NoAdmissibleAlpha", "message": message}
+    assert err == "numerical failure: " + message + "\n"
+
+
 # ---- CSV writer
 
 
@@ -904,9 +920,10 @@ def test_csv_chunk_size_leaves_the_bytes(chunk_rows, monkeypatch, capsys):
 @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
 def test_csv_writer_mixed_and_special_columns(chunk_rows, tmp_path, monkeypatch):
     # no golden file holds these: nan, +-inf, -0.0, subnormals and both
-    # notations, beside int, bool and tuple columns, and a second float
-    # column after them that shares the chunk's encode call with the
-    # first; the reference is the per-row repr/str formula
+    # notations, beside int, bool and tuple columns and a second float
+    # column after them, and then as a block of float arrays only, which
+    # alone goes through the encoder; the reference is the per-row
+    # repr/str formula
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
     special += [1e-5, 1e-4, 0.1, -1.5, 1e16, 9999999999999998.0, 1e22, 2.0**53 + 2, -1.8e308]
     spread = np.random.default_rng(5).standard_normal(23) * 10.0 ** np.arange(-11, 12)
@@ -925,6 +942,25 @@ def test_csv_writer_mixed_and_special_columns(chunk_rows, tmp_path, monkeypatch)
         for x, k, f, y, z in zip(floats, ints, flags, backwards, scaled)
     ]
     assert out_file.read_text() == "x,k,flag,y,z\n" + "".join(row + "\n" for row in rows)
+
+    third = np.sqrt(np.abs(floats)) * np.where(ints % 2 == 0, 1.0, -1.0)
+    columns = (floats, scaled, third)
+    cli._write_as(str(out_file), "csv", csv=lambda: (("x", "z", "w"), columns))
+    rows = [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
+    assert out_file.read_text() == "x,z,w\n" + "".join(row + "\n" for row in rows)
+
+
+def test_csv_block_without_float_arrays_calls_no_encoder(monkeypatch, capsys):
+    # fa-scan's columns are tuples, so its rows are joined through _fmt
+    def refuse(*args):
+        raise AssertionError("the encoder was called")
+
+    monkeypatch.setattr(cli, "csv_rows", refuse)
+    monkeypatch.setattr(_floattext, "encode", refuse)
+    argv = ["fa-scan", "--s", "0.6,0.75,1.0,1.5,2.0", "--alphas", "0.2,0.1,0.05,0.025,0.0125"]
+    rc, out, _ = run_cli(argv + ["--delta", "1.0"], capsys)
+    assert rc == 0
+    assert out == FA_SCAN_GOLDEN_CSV
 
 
 def test_attach_csv_on_stdout_is_the_out_file_written_in_row_chunks(tmp_path, monkeypatch):
