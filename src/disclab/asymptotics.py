@@ -27,14 +27,17 @@ Adaptive Simpson bisects one level at a time over every cell of a scan
 at once: all new nodes of a level (up to 2 * _MAX_OPEN), whatever their
 cells, go through one vector call of inv_abs_im_phi_logtheta with alpha
 per node, whose cost at a few nodes per call is almost all call
-overhead.  f_alpha is the one-cell case.  The power E = inv**s and the
-exp after it still run per node on Python floats (libm pow), with the
-node's own s and crest, because np.power can round differently in the
-last place and would move the integrand's digits.  Each cell's panels,
-and the order in which their sums are added, are those of a depth-first
-bisection of that cell alone, so batching changes no digit of any
-result; a cell that fails does so alone.  The crest scan, the Simpson
-budget and the truncation check stay per cell.
+overhead.  f_alpha is the one-cell case.  The rest of the integrand is
+array code over the same nodes, with each node's own s and crest: the
+power E = inv**s is np.float_power, which calls the C library's pow and
+so rounds as Python's ** does (np.power can differ in the last place),
+and exp stays math.exp, mapped over the level, because np.exp can
+differ too.  An E that overflows doubles makes its node contribute 0;
+a cell whose E overflows at every crest-scan node fails before Simpson.
+Each cell's panels, and the order in which their sums are added, are
+those of a depth-first bisection of that cell alone, so batching
+changes no digit of any result; a cell that fails does so alone.  The
+crest scan, the Simpson budget and the truncation check stay per cell.
 """
 
 from __future__ import annotations
@@ -208,7 +211,10 @@ def _adaptive_simpson(g, a, b, tol) -> list:
 
 
 def _crest_scan(spec: FAlphaSpec):
-    """(t0, t_end, Simpson tol, crest, hit_cap) of one cell from its coarse scan."""
+    """(t0, t_end, Simpson tol, crest, hit_cap) of one cell from its coarse scan.
+
+    A QuadratureNonConvergent instead when E overflows at every scan node.
+    """
     t0 = spec.delta / spec.alpha
     cap = spec.t_max_cap
 
@@ -217,6 +223,10 @@ def _crest_scan(spec: FAlphaSpec):
     etas = _log_integrand(spec, ts)
     i_max = int(np.argmax(etas))
     crest = float(etas[i_max])
+    if not math.isfinite(crest):
+        return QuadratureNonConvergent(
+            f"E(t) = inv**s overflows doubles at every crest-scan node of [{t0:.6g}, {cap:.6g}]"
+        )
 
     # the first scan node past the crest that lies _CREST_DROP below it
     dropped = etas[i_max + 1 :] < crest - _CREST_DROP
@@ -233,26 +243,35 @@ def _f_alpha_cells(specs) -> list:
     """F_alpha of every spec, integrated together by one Simpson run.
 
     Returns a QuadratureResult per spec, or the QuadratureNonConvergent
-    of a cell whose bisection failed.  The nodes of each Simpson level,
-    of all cells, go through one vector call of inv_abs_im_phi_logtheta
-    with alpha per node; pow and exp run per node on Python floats with
-    the node's own s and crest.
+    of a cell whose crest scan or bisection failed.  The nodes of each
+    Simpson level, of all cells, go through one vector call of
+    inv_abs_im_phi_logtheta with alpha per node, then through one
+    np.float_power with the node's own s and one math.exp map.  Overflow
+    of E is silent: an overflowed node is -inf in eta and 0 in the
+    integrand.
     """
-    t0, t_end, tol, crests, hit_cap = zip(*(_crest_scan(spec) for spec in specs))
-    alpha = np.array([spec.alpha for spec in specs])
-    s = [spec.s for spec in specs]
+    with np.errstate(over="ignore"):
+        outcomes = [_crest_scan(spec) for spec in specs]
+        live = [c for c, out in enumerate(outcomes) if not isinstance(out, QuadratureNonConvergent)]
+        if not live:
+            return outcomes
+        t0, t_end, tol, crests, hit_cap = zip(*(outcomes[c] for c in live))
+        alpha = np.array([specs[c].alpha for c in live])
+        s = np.array([specs[c].s for c in live])
+        crest = np.array(crests)
 
-    def g(cells: np.ndarray, t: np.ndarray) -> np.ndarray:
-        inv = inv_abs_im_phi_logtheta(alpha[cells], t)
-        nodes = zip(cells.tolist(), t.tolist(), inv.tolist())
-        es = (ti - vi ** s[c] - crests[c] for c, ti, vi in nodes)
-        return np.array([math.exp(e) if e > _LOG_TINY else 0.0 for e in es])
+        def g(cells: np.ndarray, t: np.ndarray) -> np.ndarray:
+            inv = inv_abs_im_phi_logtheta(alpha[cells], t)
+            e = t - np.float_power(inv, s[cells]) - crest[cells]
+            f = np.fromiter(map(math.exp, np.maximum(e, _LOG_TINY).tolist()), float, e.size)
+            f[~(e > _LOG_TINY)] = 0.0
+            return f
 
-    outcomes = _adaptive_simpson(g, t0, t_end, tol)
-    return [
-        out if isinstance(out, QuadratureNonConvergent) else _finish(spec, c, h, *out)
-        for spec, c, h, out in zip(specs, crests, hit_cap, outcomes)
-    ]
+        for c, m, h, out in zip(live, crests, hit_cap, _adaptive_simpson(g, t0, t_end, tol)):
+            if not isinstance(out, QuadratureNonConvergent):
+                out = _finish(specs[c], m, h, *out)
+            outcomes[c] = out
+    return outcomes
 
 
 def _finish(spec: FAlphaSpec, crest: float, hit_cap: bool, integral: float, err: float):

@@ -395,3 +395,71 @@ def test_a_scan_evaluates_each_simpson_level_in_one_call(monkeypatch):
     assert len(sizes) <= 2 * cells + 1 + 41
     assert max(sizes[cells + 1 :]) <= 2 * _MAX_OPEN
 
+
+# ---- the integrand as array code
+
+
+def test_float_power_rounds_like_python_pow():
+    # the Simpson integrand computes E = inv**s with np.float_power, the C
+    # library's pow, on the premise that it equals Python's ** bit for bit;
+    # np.power's vector loops differ in the last place on a few percent
+    rng = np.random.default_rng(20260419)
+    inv = 10.0 ** rng.uniform(0.0, 8.0, 4000)
+    s_values = [0.6, 0.75, 1.0, 1.5, 2.0, *rng.uniform(0.5, 5.0, 5)]
+    for s in s_values:
+        want = np.array([v**s for v in inv.tolist()])
+        assert np.float_power(inv, s).tobytes() == want.tobytes(), s
+    per_node = rng.choice(s_values, inv.size)
+    want = np.array([v**w for v, w in zip(inv.tolist(), per_node.tolist())])
+    assert np.float_power(inv, per_node).tobytes() == want.tobytes()
+
+
+def test_simpson_integrand_equals_the_per_node_formula(monkeypatch):
+    # every node of a scan, against exp(t - inv**s - crest) in Python floats
+    levels = []
+    adaptive_simpson = asymptotics._adaptive_simpson
+
+    def recorded(g, a, b, tol):
+        def g_recorded(cells, t):
+            f = g(cells, t)
+            levels.append((cells, t, f))
+            return f
+
+        return adaptive_simpson(g_recorded, a, b, tol)
+
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson", recorded)
+    s_values, alphas = (0.6, 0.75, 1.0, 1.5, 2.0), (0.2, 0.1, 0.05, 0.025, 0.0125)
+    dichotomy_scan(s_values, alphas, delta=1.0)
+    specs = [spec(s, a) for s in s_values for a in alphas]
+    crests = [asymptotics._crest_scan(sp)[3] for sp in specs]
+    for cells, t, f in levels:
+        alpha = np.array([specs[c].alpha for c in cells.tolist()])
+        inv = asymptotics.inv_abs_im_phi_logtheta(alpha, t)
+        want = []
+        for c, ti, vi in zip(cells.tolist(), t.tolist(), inv.tolist()):
+            e = ti - vi ** specs[c].s - crests[c]
+            want.append(math.exp(e) if e > -745.0 else 0.0)
+        assert f.tobytes() == np.array(want).tobytes()
+    assert sum(t.size for _, t, _ in levels) > 9000
+
+
+def test_an_overflowed_node_contributes_zero(monkeypatch):
+    # at t = 1e100, inv = 1.27e199 is finite and inv**2 overflows
+    seen = []
+    adaptive_simpson = asymptotics._adaptive_simpson
+
+    def probe(g, a, b, tol):
+        seen.append(g(np.zeros(2, dtype=int), np.array([a[0], 1e100])).tolist())
+        return adaptive_simpson(g, a, b, tol)
+
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson", probe)
+    f_alpha(spec(2.0, 0.2))
+    assert seen == [[1.0, 0.0]]  # the crest lies at t0 = 5
+
+
+def test_a_cell_whose_power_overflows_everywhere_fails_alone():
+    with pytest.raises(QuadratureNonConvergent, match="overflows doubles at every crest-scan node"):
+        f_alpha(FAlphaSpec(alpha=0.2, s=300))
+    results = asymptotics._f_alpha_cells([spec(300.0, 0.2), spec(1.0, 0.2)])
+    assert str(results[0]) == "E(t) = inv**s overflows doubles at every crest-scan node of [5, 600]"
+    assert same_bits(results[1], f_alpha(spec(1.0, 0.2)))

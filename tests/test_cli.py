@@ -7,6 +7,7 @@ once into a pipe that its reader closes.
 """
 
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -17,6 +18,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +317,56 @@ def test_fa_scan_with_nothing_to_integrate_is_a_validation_error(capsys):
         "validation error: t_max_cap 600.0 is not above the lower limit "
         "delta/alpha = 600.000\n"
     )
+
+
+# sha256 of the CSV on stdout.  These pin this tree's Simpson digits, not
+# true values (ROADMAP F3), and the tanh-sinh rule of ROADMAP item 3
+# re-pins them; the last grid's "vanishing" at s = 0.85 is a known-wrong
+# verdict (F4), so only stdout is pinned
+FA_SCAN_GRID = ["--s", "0.6,0.75,1.0,1.5,2.0", "--alphas", "0.2,0.1,0.05,0.025,0.0125"]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (
+            FA_SCAN_GRID + ["--delta", "0.8"],
+            0,
+            "d3502350ae3666ae4060e515cd5ad1af8377ab9f34923fa55dd474031df838e5",
+        ),
+        (
+            FA_SCAN_GRID + ["--delta", "1.2"],
+            0,
+            "de6278353869e3359a7232c9e47258532799e7900b48a43a3b0283d89043130c",
+        ),
+        (  # cell (3, 0.002) fails numerically
+            ["--s", "0.55,0.85,3", "--alphas", "0.2,0.1,0.05,0.02,0.01,0.005,0.002"]
+            + ["--delta", "1"],
+            2,
+            "9e6c99796746c4de4508e7a2282bddc91e6ef472c0942df46914e035dc609ced",
+        ),
+    ],
+)
+def test_fa_scan_stdout_hashes_are_pinned(argv, code, digest, capsys):
+    rc, out, _ = run_cli(["fa-scan"] + argv, capsys)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fa_scan_at_large_s_fails_each_cell_without_a_warning(capsys):
+    # inv**s overflows doubles at s = 300 on every crest-scan node, so each
+    # cell fails before Simpson; at s = 90 only past the crest, and each
+    # cell fails at Simpson's depth guard on the cliff at t0
+    alphas = (0.2, 0.1, 0.05)
+    for s in ("300", "90"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(["fa-scan", "--s", s, "--alphas", "0.2,0.1,0.05"], capsys)
+        assert rc == 2
+        assert out.splitlines()[1:] == [f"{s}.0,{a},nan,nan," for a in alphas]
+        assert err == (
+            f"verdict s={s}.0: inconclusive\nfa-scan: 3 cell(s) failed numerically (nan rows)\n"
+        )
 
 
 # ---- attach
