@@ -36,8 +36,16 @@ differ too.  An E that overflows doubles makes its node contribute 0;
 a cell whose E overflows at every crest-scan node fails before Simpson.
 Each cell's panels, and the order in which their sums are added, are
 those of a depth-first bisection of that cell alone, so batching
-changes no digit of any result; a cell that fails does so alone.  The
-crest scan, the Simpson budget and the truncation check stay per cell.
+changes no digit of any result; a cell that fails does so alone.
+
+The crest scan is shared the same way: the cells of one
+(alpha, delta, t_max_cap), the s values of a scan, step the same t grid,
+so each such group makes one inv_abs_im_phi_logtheta call over it and
+locates every cell's crest and cut-off in one block of eta rows.  The
+value at the cap that the truncation check needs is the grid's last
+node.  Each cell keeps its own E = inv**s row (numpy's power with a
+scalar s, whose rounding sets the crest), its own rough trapezoid mass
+for the Simpson budget, and its own failure.
 """
 
 from __future__ import annotations
@@ -112,12 +120,6 @@ class QuadratureResult:
     truncated: bool  # whether t_max_cap cut off a still-significant tail
     log_value: float  # log F_alpha, finite even when value underflows
     rel_err: float  # error estimate relative to the value
-
-
-def _log_integrand(spec: FAlphaSpec, t):
-    """eta(t) = t - E(t); the integrand of F_alpha is exp(eta)."""
-    inv = inv_abs_im_phi_logtheta(spec.alpha, t)
-    return t - inv ** spec.s
 
 
 def _simpson(x0, f0, x1, f1, x2, f2):
@@ -210,52 +212,70 @@ def _adaptive_simpson(g, a, b, tol) -> list:
     return [(totals[c], errors[c]) if out is None else out for c, out in enumerate(outcomes)]
 
 
-def _crest_scan(spec: FAlphaSpec):
-    """(t0, t_end, Simpson tol, crest, hit_cap) of one cell from its coarse scan.
+def _crest_scans(specs) -> list:
+    """(t0, t_end, Simpson tol, crest, eta_cap) of each cell from its coarse scan.
 
-    A QuadratureNonConvergent instead when E overflows at every scan node.
+    The cells that share (alpha, delta, t_max_cap) share one scan grid and
+    one inv_abs_im_phi_logtheta call over it; their rows of eta = t - E(t)
+    form one block, E = inv**s row by row.  eta_cap is eta at the cap for
+    a cell whose scan did not drop _CREST_DROP below its crest before the
+    cap, else None.  A cell's QuadratureNonConvergent instead when E
+    overflows at every scan node.
     """
-    t0 = spec.delta / spec.alpha
-    cap = spec.t_max_cap
-
-    count = max(2, int(math.ceil((cap - t0) / _SCAN_STEP)) + 1)
-    ts = np.linspace(t0, cap, count)
-    etas = _log_integrand(spec, ts)
-    i_max = int(np.argmax(etas))
-    crest = float(etas[i_max])
-    if not math.isfinite(crest):
-        return QuadratureNonConvergent(
-            f"E(t) = inv**s overflows doubles at every crest-scan node of [{t0:.6g}, {cap:.6g}]"
-        )
-
-    # the first scan node past the crest that lies _CREST_DROP below it
-    dropped = etas[i_max + 1 :] < crest - _CREST_DROP
-    hit_cap = not dropped.any()
-    t_end = cap if hit_cap else float(ts[i_max + 1 + int(np.argmax(dropped))])
-
-    # rough mass in crest units, to set the absolute Simpson budget
-    sel = (ts >= t0) & (ts <= t_end)
-    rough = float(np.trapezoid(np.exp(np.maximum(etas[sel] - crest, _LOG_TINY)), ts[sel]))
-    return t0, t_end, spec.rel_tol * max(rough, 1e-12), crest, hit_cap
+    outcomes = [None] * len(specs)
+    groups = {}
+    for c, spec in enumerate(specs):
+        groups.setdefault((spec.alpha, spec.delta, spec.t_max_cap), []).append(c)
+    for (alpha, delta, cap), cells in groups.items():
+        t0 = delta / alpha
+        count = max(2, int(math.ceil((cap - t0) / _SCAN_STEP)) + 1)
+        ts = np.linspace(t0, cap, count)  # ends exactly at t0 and at cap
+        inv = inv_abs_im_phi_logtheta(alpha, ts)
+        d = np.diff(ts)
+        s = [specs[c].s for c in cells]
+        etas = ts - np.array([inv ** si for si in s])
+        i_max = etas.argmax(axis=1)
+        crests = etas[np.arange(len(cells)), i_max]
+        # the first scan node past the crest that lies _CREST_DROP below it
+        dropped = (etas < (crests - _CREST_DROP)[:, None]) & (np.arange(count) > i_max[:, None])
+        hit_cap = ~dropped.any(axis=1)
+        ends = np.where(hit_cap, count - 1, dropped.argmax(axis=1)).tolist()
+        for c, si, row, crest, j, cut in zip(cells, s, etas, crests.tolist(), ends, hit_cap):
+            if not math.isfinite(crest):
+                outcomes[c] = QuadratureNonConvergent(
+                    f"E(t) = inv**s overflows doubles at every crest-scan node of "
+                    f"[{t0:.6g}, {cap:.6g}]"
+                )
+                continue
+            # rough mass in crest units, to set the absolute Simpson budget:
+            # the trapezoid rule over [t0, t_end], summed as np.trapezoid does
+            y = np.exp(np.maximum(row[: j + 1] - crest, _LOG_TINY))
+            rough = float((d[:j] * (y[1:] + y[:-1]) / 2.0).sum())
+            eta_cap = cap - float(inv[-1]) ** si if cut else None
+            tol = specs[c].rel_tol * max(rough, 1e-12)
+            outcomes[c] = (t0, float(ts[j]), tol, crest, eta_cap)
+    return outcomes
 
 
 def _f_alpha_cells(specs) -> list:
     """F_alpha of every spec, integrated together by one Simpson run.
 
     Returns a QuadratureResult per spec, or the QuadratureNonConvergent
-    of a cell whose crest scan or bisection failed.  The nodes of each
-    Simpson level, of all cells, go through one vector call of
-    inv_abs_im_phi_logtheta with alpha per node, then through one
-    np.float_power with the node's own s and one math.exp map.  Overflow
-    of E is silent: an overflowed node is -inf in eta and 0 in the
-    integrand.
+    of a cell whose crest scan or bisection failed.  The crest scans
+    make one inv_abs_im_phi_logtheta call per (alpha, delta, t_max_cap),
+    shared by that group's s values, and the truncation check reads the
+    scan.  The nodes of each Simpson level, of all cells, go through one
+    vector call of inv_abs_im_phi_logtheta with alpha per node, then
+    through one np.float_power with the node's own s and one math.exp
+    map.  Overflow of E is silent: an overflowed node is -inf in eta and
+    0 in the integrand.
     """
     with np.errstate(over="ignore"):
-        outcomes = [_crest_scan(spec) for spec in specs]
+        outcomes = _crest_scans(specs)
         live = [c for c, out in enumerate(outcomes) if not isinstance(out, QuadratureNonConvergent)]
         if not live:
             return outcomes
-        t0, t_end, tol, crests, hit_cap = zip(*(outcomes[c] for c in live))
+        t0, t_end, tol, crests, eta_caps = zip(*(outcomes[c] for c in live))
         alpha = np.array([specs[c].alpha for c in live])
         s = np.array([specs[c].s for c in live])
         crest = np.array(crests)
@@ -267,15 +287,19 @@ def _f_alpha_cells(specs) -> list:
             f[~(e > _LOG_TINY)] = 0.0
             return f
 
-        for c, m, h, out in zip(live, crests, hit_cap, _adaptive_simpson(g, t0, t_end, tol)):
+        for c, m, eta_cap, out in zip(live, crests, eta_caps, _adaptive_simpson(g, t0, t_end, tol)):
             if not isinstance(out, QuadratureNonConvergent):
-                out = _finish(specs[c], m, h, *out)
+                out = _finish(specs[c], m, eta_cap, *out)
             outcomes[c] = out
     return outcomes
 
 
-def _finish(spec: FAlphaSpec, crest: float, hit_cap: bool, integral: float, err: float):
-    """The QuadratureResult of one cell from its crest-scaled integral."""
+def _finish(spec: FAlphaSpec, crest: float, eta_cap, integral: float, err: float):
+    """The QuadratureResult of one cell from its crest-scaled integral.
+
+    eta_cap is eta at the cap from the crest scan, None when the scan
+    dropped _CREST_DROP below the crest before the cap.
+    """
     if not (integral > 0.0):
         # the scan guarantees at least one crest-level sample, so a zero
         # here means the interval collapsed; treat as exact zero mass
@@ -291,10 +315,7 @@ def _finish(spec: FAlphaSpec, crest: float, hit_cap: bool, integral: float, err:
         value = abs_err = math.inf
     else:
         abs_err = value * rel_err
-    truncated = bool(
-        hit_cap
-        and float(_log_integrand(spec, spec.t_max_cap)) > math.log(spec.rel_tol) + log_value
-    )
+    truncated = bool(eta_cap is not None and eta_cap > math.log(spec.rel_tol) + log_value)
     return QuadratureResult(
         value=value,
         abs_err=abs_err,

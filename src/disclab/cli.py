@@ -23,8 +23,8 @@ the same resolved configuration produces byte-identical bytes.
 Exit codes: 0 success, 1 validation error (bad flag or config values,
 unresolvable grids) or an output target that cannot be written (one
 `output error:` line on standard error), 2 numerical failure
-(non-convergence), with the failure serialized to the output target as
-a JSON error object.
+(non-convergence, or a height exponent beyond the largest double), with
+the failure serialized to the output target as a JSON error object.
 """
 
 from __future__ import annotations
@@ -260,10 +260,16 @@ def _run_flatness(cfg, out_path, fmt) -> int:
     for s in cfg["s"]:
         FlatProfile(kind=KIND_IM, s=s)  # refuses an s that is not positive and finite
 
-        # one evaluation per grid point, shared by every order k
-        log_g = {
-            t: -(inv_abs_im_phi_logtheta(alpha, -math.log(t)) ** s) for t in _FLAT_THETAS
-        }
+        # one evaluation per grid point, shared by every order k; an E that
+        # overflows is a failure, not -inf, which stands for a zero height
+        log_g = {}
+        for t in _FLAT_THETAS:
+            try:
+                log_g[t] = -(inv_abs_im_phi_logtheta(alpha, -math.log(t)) ** s)
+            except OverflowError:
+                raise DiscLabError(
+                    f"E = (1/|Im phi|)**s overflows doubles at s={s:g}, first at theta={t:g}"
+                ) from None
         for k in range(1, _FLAT_K_MAX + 1):
             log_ratios, flat = flatness_order_check(log_g.__getitem__, k, _FLAT_THETAS)
             log10s = [r / _LN10 for r in log_ratios]

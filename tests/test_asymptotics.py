@@ -386,14 +386,85 @@ def test_a_scan_evaluates_each_simpson_level_in_one_call(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "inv_abs_im_phi_logtheta", counted)
     scan = dichotomy_scan([0.6, 0.75, 1.0, 1.5, 2.0], [0.2, 0.1, 0.05, 0.025, 0.0125], delta=1.0)
-    cells = len(scan.cells)
-    assert cells == 25
-    # per cell: its crest scan and at most one truncation check; for the
-    # whole scan: the starting nodes, then at most one call per Simpson
-    # level up to the depth guard, where one call per cell per level
-    # would take some 300
-    assert len(sizes) <= 2 * cells + 1 + 41
-    assert max(sizes[cells + 1 :]) <= 2 * _MAX_OPEN
+    assert len(scan.cells) == 25
+    # one crest scan per alpha, shared by its five s values (t0 = 5 .. 80
+    # stepped by 0.25 up to the cap 600), which also holds every
+    # truncation check; then the 3 starting nodes of each of the 25
+    # cells, then at most one call per Simpson level up to the depth
+    # guard, where one call per cell per level would take some 300
+    assert sizes[:6] == [2381, 2361, 2321, 2241, 2081, 75]
+    assert len(sizes) <= 5 + 1 + 41
+    assert max(sizes[6:]) <= 2 * _MAX_OPEN
+    assert 1 not in sizes
+
+
+# ---- the crest scan
+
+
+def reference_crest_scan(sp):
+    """(t0, t_end, tol, crest, hit_cap) of one cell by a scan of its own.
+
+    The per-cell scan that the shared scan replaced, kept as its
+    reference; None where E overflows at every scan node.
+    """
+    t0 = sp.delta / sp.alpha
+    count = max(2, int(math.ceil((sp.t_max_cap - t0) / 0.25)) + 1)
+    ts = np.linspace(t0, sp.t_max_cap, count)
+    with np.errstate(over="ignore"):
+        etas = ts - asymptotics.inv_abs_im_phi_logtheta(sp.alpha, ts) ** sp.s
+    i_max = int(np.argmax(etas))
+    crest = float(etas[i_max])
+    if not math.isfinite(crest):
+        return None
+    dropped = etas[i_max + 1 :] < crest - 40.0
+    hit_cap = not dropped.any()
+    t_end = sp.t_max_cap if hit_cap else float(ts[i_max + 1 + int(np.argmax(dropped))])
+    sel = (ts >= t0) & (ts <= t_end)
+    rough = float(np.trapezoid(np.exp(np.maximum(etas[sel] - crest, -745.0)), ts[sel]))
+    return t0, t_end, sp.rel_tol * max(rough, 1e-12), crest, hit_cap
+
+
+def test_shared_crest_scans_equal_the_per_cell_scan():
+    s_values, alphas = (0.6, 0.75, 1.0, 1.5, 2.0), (0.2, 0.1, 0.05, 0.025, 0.0125)
+    grids = [[spec(s, a, delta=d) for s in s_values for a in alphas] for d in (0.8, 1.2)]
+    # repeated and unsorted alphas, duplicate s values
+    pairs = [(1.0, 0.05), (0.75, 0.2), (1.0, 0.05), (2.0, 0.0125), (0.6, 0.2), (0.75, 0.05)]
+    repeated = [spec(s, a) for s, a in pairs]
+    mixed = [
+        spec(0.6, 0.05, t_max_cap=1200.0),
+        spec(1.0, 0.05, delta=0.8),
+        spec(0.75, 0.05, t_max_cap=1e4, rel_tol=1e-6),
+        spec(0.6, 0.05),
+        spec(0.75, 0.05, t_max_cap=1e4),
+        spec(1.5, 0.05, rel_tol=1e-10),
+        spec(0.6, 0.05, t_max_cap=1200.0, rel_tol=1e-6),
+    ]
+    # an s = 300 row, whose E overflows at every node, inside a healthy group
+    overflow = [spec(1.0, 0.2), spec(300.0, 0.2), spec(0.6, 0.2), spec(300.0, 0.1)]
+    capped = 0
+    for batch in (*grids, repeated, mixed, overflow):
+        with np.errstate(over="ignore"):
+            outcomes = asymptotics._crest_scans(batch)
+        for sp, got in zip(batch, outcomes):
+            want = reference_crest_scan(sp)
+            if want is None:
+                assert str(got) == (
+                    "E(t) = inv**s overflows doubles at every crest-scan node of "
+                    f"[{sp.delta / sp.alpha:.6g}, {sp.t_max_cap:.6g}]"
+                )
+                continue
+            assert repr(got[:4]) == repr(want[:4]), sp
+            eta_cap = None
+            if want[4]:
+                inv_cap = asymptotics.inv_abs_im_phi_logtheta(sp.alpha, sp.t_max_cap)
+                eta_cap = sp.t_max_cap - inv_cap**sp.s
+                capped += 1
+            assert repr(got[4]) == repr(eta_cap), sp
+    assert capped >= 10
+    results = asymptotics._f_alpha_cells(overflow)
+    assert [isinstance(r, QuadratureNonConvergent) for r in results] == [False, True, False, True]
+    for c in (0, 2):
+        assert same_bits(results[c], f_alpha(overflow[c]))
 
 
 # ---- the integrand as array code
@@ -431,7 +502,7 @@ def test_simpson_integrand_equals_the_per_node_formula(monkeypatch):
     s_values, alphas = (0.6, 0.75, 1.0, 1.5, 2.0), (0.2, 0.1, 0.05, 0.025, 0.0125)
     dichotomy_scan(s_values, alphas, delta=1.0)
     specs = [spec(s, a) for s in s_values for a in alphas]
-    crests = [asymptotics._crest_scan(sp)[3] for sp in specs]
+    crests = [reference_crest_scan(sp)[3] for sp in specs]
     for cells, t, f in levels:
         alpha = np.array([specs[c].alpha for c in cells.tolist()])
         inv = asymptotics.inv_abs_im_phi_logtheta(alpha, t)

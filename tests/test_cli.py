@@ -172,6 +172,37 @@ def test_flatness_evaluates_each_log_height_once(monkeypatch, capsys):
     assert len(calls) == 3 * 60
 
 
+@pytest.mark.parametrize("s,theta", [("98", "1e-59"), ("1e308", "0.1")])
+def test_flatness_fails_numerically_where_the_height_exponent_overflows(tmp_path, capsys, s, theta):
+    # at alpha 0.1, (1/|Im phi|)**98 passes the largest double near theta = 1e-59;
+    # -inf would claim an exactly zero height, so the run fails instead
+    out_file = tmp_path / "flat.json"
+    rc, out, err = run_cli(["flatness", "--s", s, "--out", str(out_file)], capsys)
+    assert rc == 2
+    assert out == ""
+    message = f"E = (1/|Im phi|)**s overflows doubles at s={float(s):g}, first at theta={theta}"
+    assert err == f"numerical failure: {message}\n"
+    assert json.loads(out_file.read_text()) == {"error": "DiscLabError", "message": message}
+
+
+def test_flatness_below_the_overflow_keeps_its_bytes(capsys):
+    rc, out, err = run_cli(["flatness", "--s", "90"], capsys)
+    assert (rc, err) == (0, "")
+    digest = "55ebddef7731a01cde64ed30ee3f1cee23b10cba27e42908757ffac7d7c957b8"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_large_s_never_ends_in_a_traceback_or_a_warning(capsys):
+    # each subcommand that raises E = inv**s either answers or fails numerically
+    for sub in ("flatness", "fa-scan"):
+        for s in ("0.6", "1", "10", "50", "97", "98", "150", "300", "1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, _, err = run_cli([sub, "--s", s], capsys)
+            assert rc in (0, 2), (sub, s)
+            assert "Traceback" not in err and "Warning" not in err, (sub, s)
+
+
 # ---- fa-scan
 
 
