@@ -80,26 +80,36 @@ class DiscFamilyParams:
 
 
 def _boundary_parts(alpha: float, theta: np.ndarray):
-    """Stable (A, B, at_one) for the boundary formula at angles theta."""
-    half = 0.5 * np.mod(theta, 2.0 * np.pi)
-    rho = np.sin(half)
-    at_one = rho == 0.0
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(np.where(at_one, 1.0, rho))
-    a = -LOG4 + alpha * np.where(at_one, -np.inf, log_rho)
-    b = alpha * (half - 0.5 * np.pi)
-    return a, b, at_one
+    """Stable (A, B, at_one) for the boundary formula at 1-d angles theta."""
+    half = np.mod(theta, 2.0 * np.pi)
+    half *= 0.5
+    a = np.sin(half)
+    at_one = a == 0.0
+    a[at_one] = 1.0
+    np.log(a, out=a)
+    a[at_one] = -np.inf
+    a *= alpha
+    a += -LOG4
+    half -= 0.5 * np.pi
+    half *= alpha
+    return a, half, at_one
 
 
 def phi_boundary(params: DiscFamilyParams, theta) -> np.ndarray:
     """phi_alpha(e^{i theta}) - eps_shift, vectorized over angles."""
     th = np.asarray(theta, dtype=float)
     a, b, at_one = _boundary_parts(params.alpha, np.atleast_1d(th).ravel())
+    denom = a * a
+    denom += b * b
     with np.errstate(invalid="ignore"):
-        denom = a * a + b * b
-        re = np.where(at_one, 0.0, -a / denom)
-        im = np.where(at_one, 0.0, b / denom)
-    out = re - params.eps_shift + 1j * im
+        np.negative(a, out=a)
+        a /= denom
+        b /= denom
+    a[at_one] = 0.0
+    b[at_one] = 0.0
+    a -= params.eps_shift
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = a, b
     return complex(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 

@@ -92,10 +92,14 @@ def profile_eval(p: FlatProfile, y1):
     result underflows doubles and 0 is returned exactly, as at y1 = 0.
     """
     y = np.asarray(y1, dtype=float)
+    out = np.abs(np.atleast_1d(y))  # a fresh array, worked on in place
     with np.errstate(divide="ignore", over="ignore"):
-        expo = -(np.abs(np.atleast_1d(y)) ** -p.s)
-    live = expo >= _EXP_FLOOR
-    out = np.where(live, np.exp(np.maximum(expo, _EXP_FLOOR)), 0.0)
+        out **= -p.s
+    np.negative(out, out=out)
+    live = out >= _EXP_FLOOR
+    np.maximum(out, _EXP_FLOOR, out=out)
+    np.exp(out, out=out)
+    out[~live] = 0.0
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
@@ -108,10 +112,19 @@ def _blend_weight(x: np.ndarray) -> np.ndarray:
     a(1-x) can never underflow simultaneously.
     """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        lo = np.where(x > 0.0, np.exp(-1.0 / np.where(x > 0.0, x, 1.0)), 0.0)
-        hi = np.where(x < 1.0, np.exp(-1.0 / np.where(x < 1.0, 1.0 - x, 1.0)), 0.0)
-    return lo / (lo + hi)
+    lo, hi = _step_half(x, x > 0.0), _step_half(1.0 - x, x < 1.0)
+    hi += lo
+    lo /= hi
+    return lo if lo.ndim else lo[()]
+
+
+def _step_half(x, live):
+    """exp(-1/x) where live, else 0, in a fresh array (x is not written)."""
+    out = np.where(live, x, 1.0)
+    np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
+    out[~live] = 0.0
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,10 +164,16 @@ class BumpDeformation:
     def trace_parts(self, theta, phi, y2) -> tuple:
         """The eta-free part of boundary_trace: (blend weight, base profile values)."""
         th = np.asarray(theta, dtype=float)
-        # fold to a distance from theta = 0 on the circle, in [0, pi]
-        dist = np.abs(np.mod(th + np.pi, 2.0 * np.pi) - np.pi)
-        w = self.window()
-        weight = _blend_weight(np.log2(np.maximum(dist, 1e-300) / w))
+        # fold to a distance from theta = 0 on the circle, in [0, pi], then
+        # x = log2(dist / window), all in place on one fresh array
+        x = np.atleast_1d(th) + np.pi
+        np.mod(x, 2.0 * np.pi, out=x)
+        x -= np.pi
+        np.abs(x, out=x)
+        np.maximum(x, 1e-300, out=x)
+        x /= self.window()
+        np.log2(x, out=x)
+        weight = _blend_weight(x if th.ndim else x[0])
         return weight, self.base.boundary_trace(theta, phi, y2)
 
     def combine(self, weight, base_vals):

@@ -24,8 +24,18 @@ eta.  Hence u, v, the spectral radial derivative and u along a ray are
 affine in eta, and every other cell is derived as x0 + eta (x1 - x0)
 from the two solves' values; it differs from its own solve only by
 rounding.  The cells at eta = 0 and 1 take the solves' values as they
-are.  Classification and the deepest x2 are still taken per cell, from
-the derived u, v and ray.
+are.
+
+A derived cell classifies the node whose u is x0 + eta (x1 - x0), and
+most nodes answer the same for every derived eta: far inside the window
+u stays at the base height, far outside it |u - base| grows with |eta|,
+and the ball test depends on eta only through u^2 + v^2.  One pass over
+the nodes settles every node that no derived eta can flip, by exact
+bounds with rounding margins (_Settled); only the rest are classified
+per cell, by the same formula as a solved cell (_classify), on short
+arrays gathered once.  Every count equals the one the formula gives on
+the full arrays.  The radial derivative and the deepest x2 of a derived
+cell are x0 + eta (x1 - x0) as before.
 
 phi on the grid, the bump's blend weight and base-profile values (which
 also serve as the classification's undeformed heights) and
@@ -174,27 +184,129 @@ class _Sweep:
         return disc.u.values, disc.v.values, rd, along_ray
 
     def cell(self, eta: float, values: tuple) -> EtaCell:
-        """Classification, radial derivative and deepest x2 from one cell's values.
-
-        The deformation vanishes outside its window, so nodes there still
-        satisfy the undeformed height relation at the solver tolerance; the
-        windowed nodes must instead fall inside the delta-ball around the
-        squeeze limit point.  Classifying against the deformed surface would
-        be vacuous (every node attaches to it by construction), so the
-        residual here is taken against the base profile.  The deepest x2 is
-        the least u along the ray toward the contact point.
-        """
+        """The cell of one solve's (u, v, radial derivative, u along the ray)."""
         u, v, rd, along_ray = values
-        on_surface = np.abs(u - self.base_vals) <= self.cfg.tol
-        in_ball = np.sqrt(self.center_dist2 + u**2 + v**2) <= self.cfg.delta
-        return EtaCell(
-            eta=eta,
-            converged=True,
-            on_surface=int(np.count_nonzero(on_surface)),
-            in_ball=int(np.count_nonzero(in_ball)),
-            neither=len(u) - int(np.count_nonzero(on_surface | in_ball)),
-            radial_derivative=rd,
-            min_x2=float(np.min(along_ray)),
+        counts = _classify(u, v, self.base_vals, self.center_dist2, self.cfg.tol, self.cfg.delta)
+        return _cell(eta, len(u), counts, rd, along_ray)
+
+
+def _classify(u, v, base_vals, center_dist2, tol: float, delta: float) -> tuple:
+    """(on surface, in the ball, either) node counts for heights u and v.
+
+    The deformation vanishes outside its window, so nodes there still
+    satisfy the undeformed height relation at the solver tolerance; the
+    windowed nodes must instead fall inside the delta-ball around the
+    squeeze limit point.  Classifying against the deformed surface would
+    be vacuous (every node attaches to it by construction), so the
+    residual here is taken against the base profile.
+    """
+    on_surface = np.abs(u - base_vals) <= tol
+    in_ball = np.sqrt(center_dist2 + u**2 + v**2) <= delta
+    return (
+        int(np.count_nonzero(on_surface)),
+        int(np.count_nonzero(in_ball)),
+        int(np.count_nonzero(on_surface | in_ball)),
+    )
+
+
+def _cell(eta: float, n: int, counts: tuple, rd: float, along_ray) -> EtaCell:
+    """A converged cell; the deepest x2 is the least u along the ray toward the contact point."""
+    on_surface, in_ball, either = counts
+    return EtaCell(
+        eta=eta,
+        converged=True,
+        on_surface=on_surface,
+        in_ball=in_ball,
+        neither=n - either,
+        radial_derivative=rd,
+        min_x2=float(np.min(along_ray)),
+    )
+
+
+# Rounding margins of _Settled's bounds: relative to the magnitudes a
+# tested quantity is built from, and absolute for products that underflow
+_REL_MARGIN = 2.0**-40
+_ABS_MARGIN = 2.0**-1060
+
+
+class _Settled:
+    """The derived cells of one sweep: each node classified once if it can be.
+
+    A derived cell reads u = u0 + eta du and v = v0 + eta dv from the
+    values x0 at eta = 0 and the slope x1 - x0, with eta neither 0 nor 1.
+    Let lo and hi be the least and greatest |eta| over the derived etas
+    (lo > 0), c = |u0 - base|, d = |du|, U = |u0| + d, V = |v0| + |dv| and
+    cd2 = |phi - center|^2.  As every eta lies in [-1, 1], |u| <= U and
+    |v| <= V, and a node is, for every derived eta,
+
+      on the surface   when c + hi d + M <= tol, as |u - base| <= c + |eta| d;
+      off the surface  when lo d - c - M > tol or c - hi d - M > tol, as
+                       |u - base| >= |eta| d - c and >= c - |eta| d;
+      in the ball      when sqrt(B + Mb) <= delta, B = cd2 + U^2 + V^2;
+      out of the ball  when sqrt(cd2) > delta.
+
+    A node settled both ways adds the same to every derived cell's counts;
+    the others are gathered once and go through _classify cell by cell,
+    so no (cells x n) block is formed.
+
+    The bounds hold for the values _classify computes, not only for exact
+    ones.  Every quantity that the surface tests compare, on the cell's
+    side and the bound's, is at most U + |base| + tol, and every one that
+    the ball tests compare is at most B.  Each side of a comparison is a
+    float expression of at most 8 rounded operations on such quantities.
+    Counting 2^-53 of that bracket per rounding, and a square's doubling
+    of the error in its argument, the two sides together err by at most
+    14 2^-53 times the bracket, to first order (7 for the surface tests,
+    14 for the ball test); a product that underflows errs by up to
+    2^-1075 more.  The margins are
+
+      M  = 2^-40 (U + |base| + tol) + 2^-1060,
+      Mb = 2^-40 B + 2^-1060,
+
+    2^13 2^-53 times the bracket, a factor of more than 500 over the
+    rounding, plus 2^15 times the underflow error of one product.  The
+    out-of-ball test needs no margin: the cell adds u^2 + v^2 >= 0 to
+    cd2, and rounding and the square root are monotone.  The off-surface
+    and out-of-ball tests are strict, as the complement of the cell's <=
+    is, so a node at tol or at delta itself is never settled off or out.
+    """
+
+    def __init__(self, sweep: _Sweep, x0: tuple, slope: tuple, etas):
+        cfg = sweep.cfg
+        (u0, v0, self.rd0, self.ray0), (du, dv, self.d_rd, self.d_ray) = x0, slope
+        base, cd2 = sweep.base_vals, sweep.center_dist2
+        self.n, self.tol, self.delta = len(u0), cfg.tol, cfg.delta
+        lo = min(abs(eta) for eta in etas)
+        hi = max(abs(eta) for eta in etas)
+        c, d = np.abs(u0 - base), np.abs(du)
+        big_u = np.abs(u0) + d
+        margin = _REL_MARGIN * (big_u + np.abs(base) + cfg.tol) + _ABS_MARGIN
+        hi_d = hi * d
+        on = c + hi_d + margin <= cfg.tol
+        off = (lo * d - c - margin > cfg.tol) | (c - hi_d - margin > cfg.tol)
+        bound = cd2 + big_u**2 + (np.abs(v0) + np.abs(dv)) ** 2
+        inside = np.sqrt(bound + _REL_MARGIN * bound + _ABS_MARGIN) <= cfg.delta
+        outside = np.sqrt(cd2) > cfg.delta
+        settled = (on | off) & (inside | outside)
+        self.counts = tuple(
+            int(np.count_nonzero(cls & settled)) for cls in (on, inside, on | inside)
+        )
+        rest = np.flatnonzero(~settled)
+        self.u0, self.du, self.v0, self.dv, self.base, self.cd2 = (
+            a[rest] for a in (u0, du, v0, dv, base, cd2)
+        )
+
+    def cell(self, eta: float) -> EtaCell:
+        counts = _classify(
+            self.u0 + eta * self.du, self.v0 + eta * self.dv, self.base, self.cd2,
+            self.tol, self.delta,
+        )
+        return _cell(
+            eta,
+            self.n,
+            tuple(a + b for a, b in zip(self.counts, counts)),
+            self.rd0 + eta * self.d_rd,
+            self.ray0 + eta * self.d_ray,
         )
 
 
@@ -226,6 +338,8 @@ def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
             slope = tuple(b - a for a, b in zip(x0, x1))
     # the cells read neither the head's arrays nor what only the solves need
     del x1, sweep.phi, sweep.weight
+    derived = [eta for eta in cfg.eta_grid if eta != 0.0 and eta != 1.0]
+    settled = _Settled(sweep, x0, slope, derived) if x0 is not None and derived else None
     cells = []
     for eta in cfg.eta_grid:
         if eta == 1.0:
@@ -245,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
         elif eta == 0.0:
             cells.append(sweep.cell(eta, x0))
         else:
-            cells.append(sweep.cell(eta, tuple(a + eta * d for a, d in zip(x0, slope))))
+            cells.append(settled.cell(eta))
     depths = [c.min_x2 for c in cells if c.converged]
     if not depths:
         raise NotConverged("no eta cell converged; experiment has no coverage data")

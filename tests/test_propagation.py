@@ -1,5 +1,6 @@
 """Deformation experiment: classification, radial derivative sign, alpha search."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -239,6 +240,181 @@ def test_a_sweep_refuses_a_surface_that_couples_to_y2(monkeypatch):
     monkeypatch.setattr(profiles.BumpDeformation, "couples_to_y2", True)
     with pytest.raises(ValueError, match="an eta sweep needs a surface that ignores y2"):
         run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
+
+
+# ---- derived cells: nodes settled once, the rest by the per-cell formula
+
+
+def _per_cell_reference(cfg):
+    """The cells as the per-cell formula gives them on the full arrays of every eta.
+
+    This is run_experiment's sweep before nodes were settled once: every
+    derived cell forms u and v of all nodes and classifies them.
+    """
+    sweep = propagation._Sweep(cfg)
+    x1 = sweep.values(sweep.solve(1.0))
+    x0 = sweep.values(sweep.solve(0.0))
+    slope = tuple(b - a for a, b in zip(x0, x1))
+
+    def cell(eta, values):
+        u, v, rd, along_ray = values
+        on_surface = np.abs(u - sweep.base_vals) <= cfg.tol
+        in_ball = np.sqrt(sweep.center_dist2 + u**2 + v**2) <= cfg.delta
+        return propagation.EtaCell(
+            eta=eta,
+            converged=True,
+            on_surface=int(np.count_nonzero(on_surface)),
+            in_ball=int(np.count_nonzero(in_ball)),
+            neither=len(u) - int(np.count_nonzero(on_surface | in_ball)),
+            radial_derivative=rd,
+            min_x2=float(np.min(along_ray)),
+        )
+
+    cells = []
+    for eta in cfg.eta_grid:
+        if eta == 1.0:
+            cells.append(cell(eta, x1))
+        elif eta == 0.0:
+            cells.append(cell(eta, x0))
+        else:
+            cells.append(cell(eta, tuple(a + eta * d for a, d in zip(x0, slope))))
+    return cells
+
+
+def _bits(cell):
+    """A cell's fields with every float spelled exactly, -0.0 apart from 0.0."""
+    return tuple(repr(x) for x in dataclasses.astuple(cell))
+
+
+REFERENCE_GRIDS = {
+    "default": ExperimentConfig.eta_grid,
+    "duplicates": (-0.5, 0.25, -0.5, 1.0, 0.25, 0.0, 1.0),
+    "negative zero": (-1.0, -0.0, 0.3, 1.0, 0.0),
+    "tiny eta": (-1e-300, 1e-300, 0.5, 1.0),
+    "without 0": (-1.0, -0.4, 0.6, 1.0),
+    "without 1": (-0.7, 0.0, 0.2, 0.9),
+    "one derived eta": (0.0, -0.35, 1.0),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-3])
+@pytest.mark.parametrize("n", [1 << 10, 1 << 14])
+@pytest.mark.parametrize("alpha", [0.1, 0.2])
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 2.0])
+def test_settled_cells_equal_the_per_cell_formula(monkeypatch, s, alpha, n, tol):
+    solves = {}  # the two solves do not depend on the grid; take each once
+
+    def cached_solve(problem):
+        eta = problem.surface.eta
+        if eta not in solves:
+            solves[eta] = bishop.solve_bishop(problem)
+        return solves[eta]
+
+    monkeypatch.setattr(propagation, "solve_bishop", cached_solve)
+    for name, grid in REFERENCE_GRIDS.items():
+        cfg = ExperimentConfig(s=s, alpha=alpha, n=n, tol=tol, eta_grid=grid)
+        got = [_bits(c) for c in run_experiment(cfg).eta_classifications]
+        assert got == [_bits(c) for c in _per_cell_reference(cfg)], name
+    assert sorted(solves) == [0.0, 1.0]
+
+
+def _boundary_nodes(tol, delta, etas):
+    """Nodes whose cell values sit within a few ulps of tol and of delta.
+
+    Three families: |u - base| at tol for the largest |eta| (the
+    on-surface bound is tight there), |u - base| at tol for the least
+    |eta| (the off-surface bound), and |phi - center|^2 + u^2 + v^2 at
+    delta^2 for eta = -1 (the in-ball bound); each is spread over ulp
+    offsets on both sides.  A fourth family lies far from tol and delta,
+    half on the surface and in the ball, half off and out.
+    """
+    rng = np.random.default_rng(20)
+    k = 1500
+    lo = min(abs(e) for e in etas)
+    ulps = rng.integers(-6, 7, size=k)
+    base = rng.uniform(0.5, 1.0, size=(3, k))
+    sign = np.where(rng.random(size=(3, k)) < 0.5, -1.0, 1.0)
+    # |u - base| = tol at eta = -1: u0 - du = base + sign tol
+    du_on = rng.uniform(-0.9, 0.9, size=k) * tol
+    u0_on = base[0] + sign[0] * tol + du_on
+    # |u - base| = lo |du| - c = tol at eta = lo: u0 - base = -c sign(du)
+    c = rng.uniform(0.0, 1.0, size=k) * tol
+    du_off = sign[1] * (tol + c) / lo
+    u0_off = base[1] - c * sign[1]
+    # in the ball at eta = -1, where u^2 + v^2 = (|u0| + |du|)^2 + (|v0| + |dv|)^2
+    u0_ball, v0_ball = rng.uniform(0.01, 0.05, size=(2, k))
+    du_ball, dv_ball = -rng.uniform(0.001, 0.03, size=(2, k))
+    cd2_ball = delta**2 - ((u0_ball - du_ball) ** 2 + (v0_ball - dv_ball) ** 2)
+    u0_far = rng.uniform(0.0, 0.05, size=k)
+    far_off = np.arange(k) % 2 == 1
+    u0 = np.concatenate([u0_on, u0_off, u0_ball, u0_far])
+    du = np.concatenate([du_on, du_off, du_ball, rng.uniform(-0.1, 0.1, size=k) * tol])
+    u0[:3 * k] += np.tile(ulps, 3) * np.spacing(u0[:3 * k])
+    v0 = np.concatenate([np.zeros(2 * k), v0_ball, u0_far])
+    dv = np.concatenate([np.zeros(2 * k), dv_ball, np.zeros(k)])
+    # the ball family sits far off the surface, the surface families far out of the ball
+    base_vals = np.concatenate([base[0], base[1], u0_ball - 1.0, u0_far + far_off])
+    cd2 = np.concatenate([
+        np.full(2 * k, 4.0 * delta**2),
+        cd2_ball + ulps * np.spacing(cd2_ball),
+        np.where(far_off, 4.0 * delta**2, 0.01 * delta**2),
+    ])
+    return u0, du, v0, dv, base_vals, cd2
+
+
+def test_settling_is_exact_at_tol_and_delta(monkeypatch):
+    tol, delta = 2.0**-10, 0.2
+    etas = (-1.0, -0.45, 0.3, 0.85)
+    u0, du, v0, dv, base_vals, cd2 = _boundary_nodes(tol, delta, etas)
+    sweep = types.SimpleNamespace(
+        cfg=types.SimpleNamespace(tol=tol, delta=delta), base_vals=base_vals, center_dist2=cd2
+    )
+    zeros = np.zeros(len(u0))
+    x0, slope = (u0, v0, 0.0, zeros), (du, dv, 0.0, zeros)
+
+    def mismatches():
+        settled = propagation._Settled(sweep, x0, slope, etas)
+        bad = []
+        for eta in etas:
+            counts = propagation._classify(
+                u0 + eta * du, v0 + eta * dv, base_vals, cd2, tol, delta
+            )
+            cell = settled.cell(eta)
+            if (cell.on_surface, cell.in_ball, len(u0) - cell.neither) != counts:
+                bad.append(eta)
+        return settled, bad
+
+    settled, bad = mismatches()
+    assert bad == []
+    # the far family is settled both ways; the others are left to _classify
+    assert len(settled.u0) == len(u0) * 3 // 4
+    assert settled.counts[0] > 0 and settled.counts[1] > 0 and settled.counts[2] < len(u0) // 4
+    for eta in etas:  # the families do straddle tol and delta at these etas
+        u, v = u0 + eta * du, v0 + eta * dv
+        assert 0 < np.count_nonzero(np.abs(u - base_vals) <= tol) < len(u0)
+        assert 0 < np.count_nonzero(np.sqrt(cd2 + u**2 + v**2) <= delta) < len(u0)
+    # without the rounding margins the same nodes are settled on the wrong side
+    monkeypatch.setattr(propagation, "_REL_MARGIN", 0.0)
+    monkeypatch.setattr(propagation, "_ABS_MARGIN", 0.0)
+    assert mismatches()[1] != []
+
+
+def test_few_nodes_reach_the_per_cell_formula_for_a_derived_cell(monkeypatch):
+    sizes = []
+
+    def counted(u, *args):
+        sizes.append(len(u))
+        return classify(u, *args)
+
+    classify = propagation._classify
+    monkeypatch.setattr(propagation, "_classify", counted)
+    cfg = ExperimentConfig(s=1.0, alpha=0.2)
+    run_experiment(cfg)
+    # the solves at eta = 1 and 0 classify every node; each of the 19
+    # derived cells only the nodes that the bounds leave undecided
+    assert len(sizes) == 21
+    assert sorted(sizes)[-2:] == [cfg.n, cfg.n]
+    assert max(sorted(sizes)[:-2]) < cfg.n / 100
 
 
 # ---- search over alpha
