@@ -146,6 +146,8 @@ def _fmt(x) -> str:
 
 
 def _jsonable(x):
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -419,7 +421,7 @@ def _run_propagate(cfg, out_path, fmt) -> int:
         out_path,
         fmt,
         csv=lambda: _propagate_columns(report),
-        json=lambda: dataclasses.asdict(report),
+        json=lambda: report,
         table=lambda: _propagate_table(report),
     )
     _note(

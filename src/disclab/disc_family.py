@@ -81,8 +81,10 @@ class DiscFamilyParams:
 
 def _boundary_parts(alpha: float, theta: np.ndarray):
     """Stable (A, B, at_one) for the boundary formula at 1-d angles theta."""
-    half = np.mod(theta, 2.0 * np.pi)
-    half *= 0.5
+    # the mod returns angles in [0, 2 pi), such as the grid's, bit for bit; -0.0
+    # passes as the at_one node, whose phi is 0 either way, and NaN is folded
+    in_range = np.all((theta >= 0.0) & (theta < 2.0 * np.pi))
+    half = (theta if in_range else np.mod(theta, 2.0 * np.pi)) * 0.5
     a = np.sin(half)
     at_one = a == 0.0
     a[at_one] = 1.0

@@ -82,7 +82,7 @@ class FlatProfile:
     def boundary_trace(self, theta, phi, y2):
         """Surface height over the disc boundary; y2 is accepted for
         signature compatibility and unused (the profile depends on z1 only)."""
-        return profile_eval(self, np.abs(np.asarray(phi).imag))
+        return profile_eval(self, np.asarray(phi).imag)
 
 
 def profile_eval(p: FlatProfile, y1):
@@ -107,24 +107,18 @@ def _blend_weight(x: np.ndarray) -> np.ndarray:
     """Smooth step: 0 for x <= 0, 1 for x >= 1, exp(-1/x) transition between.
 
     S(x) = a(x) / (a(x) + a(1-x)) with a(x) = exp(-1/x); all derivatives
-    vanish at 0 and 1.  a underflows to exact 0 within about 1.3e-3 of
-    either endpoint, so the step returns bitwise 0 or 1 there; a(x) and
-    a(1-x) can never underflow simultaneously.
+    vanish at 0 and 1.  Off the band 0 < x < 1 the weight is exactly 0 or
+    1 by definition, and only band nodes evaluate a (a NaN x counts as one
+    and gives NaN); there a(x) and a(1-x) never underflow together.
     """
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    lo, hi = _step_half(x, x > 0.0), _step_half(1.0 - x, x < 1.0)
-    hi += lo
-    lo /= hi
-    return lo if lo.ndim else lo[()]
-
-
-def _step_half(x, live):
-    """exp(-1/x) where live, else 0, in a fresh array (x is not written)."""
-    out = np.where(live, x, 1.0)
-    np.divide(-1.0, out, out=out)
-    np.exp(out, out=out)
-    out[~live] = 0.0
-    return out
+    x = np.asarray(x, dtype=float)
+    ones = x >= 1.0
+    out = np.where(ones, 1.0, 0.0)
+    band = ~(ones | (x <= 0.0))
+    lo = np.exp(np.divide(-1.0, x[band]))
+    hi = np.exp(np.divide(-1.0, 1.0 - x[band]))
+    out[band] = lo / (hi + lo)
+    return out if out.ndim else out[()]
 
 
 @dataclasses.dataclass(frozen=True)

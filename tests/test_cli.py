@@ -7,6 +7,7 @@ once into a pipe that its reader closes.
 """
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -33,9 +34,12 @@ from disclab import (
     ExperimentConfig,
     FAlphaSpec,
     FlatProfile,
+    NotConverged,
     _floattext,
     asymptotics,
+    bishop,
     cli,
+    propagation,
 )
 from disclab.cli import dispatch, main
 from conftest import package_env
@@ -953,6 +957,46 @@ def test_propagate_alpha_search_names_the_runs_that_did_not_converge(capsys):
     assert rc == 2
     assert json.loads(out) == {"error": "NoAdmissibleAlpha", "message": message}
     assert err == "numerical failure: " + message + "\n"
+
+
+def _jsonable_of_a_copy(x):
+    """JSON-ready copy of a dict/list tree: the reference, on dataclasses.asdict of a
+    report, for cli's own walk of the report's dataclasses."""
+    if isinstance(x, dict):
+        return {k: _jsonable_of_a_copy(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable_of_a_copy(v) for v in x]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        xf = float(x)
+        return xf if math.isfinite(xf) else None
+    return x
+
+
+@pytest.mark.parametrize("fail_flat_solve", [False, True], ids=["converged", "eta0-failed"])
+def test_propagate_json_is_the_text_of_the_report_walked_by_asdict(
+    fail_flat_solve, monkeypatch, capsys
+):
+    def failing_at_zero(problem):
+        if problem.surface.eta == 0.0:
+            raise NotConverged("refused for the test")
+        return bishop.solve_bishop(problem)
+
+    if fail_flat_solve:
+        monkeypatch.setattr(propagation, "solve_bishop", failing_at_zero)
+    reports = []
+    run = propagation.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: reports.append(run(cfg)) or reports[-1])
+    argv = ["propagate", "--s", "1", "--alpha", "0.2", "--n", "4096", "--etas=-1,0,0.5,-0.0,1"]
+    rc, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert rc == 0
+    (report,) = reports
+    assert out == json.dumps(_jsonable_of_a_copy(dataclasses.asdict(report)), indent=2) + "\n"
+    # the NaN fields of the cells lost with the flat solve are written as null
+    assert ('"radial_derivative": null' in out) is fail_flat_solve
 
 
 # ---- CSV writer

@@ -58,6 +58,79 @@ def test_params_validation():
             DiscFamilyParams(alpha=0.1, eps_shift=bad)
 
 
+# ---- folding the angle
+
+
+def _phi_boundary_folding_every_angle(params, theta):
+    """phi_boundary with np.mod folding every angle, whatever its range."""
+    th = np.asarray(theta, dtype=float)
+    half = np.mod(np.atleast_1d(th).ravel(), 2.0 * np.pi)
+    half *= 0.5
+    a = np.sin(half)
+    at_one = a == 0.0
+    a[at_one] = 1.0
+    np.log(a, out=a)
+    a[at_one] = -np.inf
+    a *= params.alpha
+    a += -LOG4
+    half -= 0.5 * np.pi
+    half *= params.alpha
+    b = half
+    denom = a * a
+    denom += b * b
+    with np.errstate(invalid="ignore"):
+        np.negative(a, out=a)
+        a /= denom
+        b /= denom
+    a[at_one] = 0.0
+    b[at_one] = 0.0
+    a -= params.eps_shift
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = a, b
+    return complex(out[0]) if th.ndim == 0 else out.reshape(th.shape)
+
+
+def _bits(z):
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("alpha, eps_shift", [(0.05, 0.0), (0.2, 0.0), (1.0, 0.03)])
+def test_phi_boundary_is_bitwise_the_formula_folding_every_angle(alpha, eps_shift):
+    par = DiscFamilyParams(alpha=alpha, eps_shift=eps_shift)
+    edges = np.array([2.0 * np.pi, np.pi, -np.pi, -0.0, 0.0, 4.0 * np.pi, -2.0 * np.pi, np.nan])
+    for k in range(6, 19):
+        theta = CircleGrid(n=1 << k).theta
+        for arg in (theta, -theta, 4.0 * np.pi + theta, edges, theta.reshape(-1, 4)):
+            want = _phi_boundary_folding_every_angle(par, arg)
+            assert _bits(phi_boundary(par, arg)) == _bits(want)
+    for v in edges:
+        got = phi_boundary(par, v)
+        assert type(got) is complex
+        assert _bits(got) == _bits(_phi_boundary_folding_every_angle(par, v)), v
+
+
+def test_only_angles_outside_zero_to_two_pi_are_folded(monkeypatch):
+    par = DiscFamilyParams(alpha=0.1)
+    theta = CircleGrid(n=1024).theta
+    folded_zeros = [_bits(_phi_boundary_folding_every_angle(par, v)) for v in (-0.0, 0.0)]
+    assert folded_zeros == [_bits(0j)] * 2
+    folds = []
+    mod = np.mod
+    monkeypatch.setattr(np, "mod", lambda *args: folds.append(args[0]) or mod(*args))
+    # -0.0 lies in the range and is not folded, where np.mod would give +0.0;
+    # it is the tau = 1 node, whose phi is 0 either way
+    assert math.copysign(1.0, mod(-0.0, 2.0 * np.pi)) == 1.0
+    for v in (-0.0, np.array([-0.0, 1.0])):
+        got = phi_boundary(par, v)
+        assert _bits(np.ravel(got)[0]) == _bits(0j)
+    phi_boundary(par, theta)
+    assert folds == []
+    for outside in (-theta, theta + 2.0 * np.pi, np.array([1.0, np.nan]), np.array([-1e-300])):
+        folds.clear()
+        phi_boundary(par, outside)
+        assert len(folds) == 1
+
+
 # ---- squeezing geometry
 
 

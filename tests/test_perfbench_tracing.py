@@ -4,8 +4,9 @@
 (`cli.run_experiment`, `propagation.profile_eval`, `bishop.hilbert_t1`,
 ...).  A rename or a dropped import under `src/` leaves every other test
 green but breaks a traced benchmark run (`perfbench/run.py --trace 1`);
-this test builds the tracer's bindings, traces one CLI call and checks
-that every original attribute is back afterwards.
+this test builds the tracer's bindings, traces two CLI calls, checks
+that the spans of each layer they run fire, and that every original
+attribute is back afterwards.
 """
 
 import importlib
@@ -33,5 +34,16 @@ def test_tracer_binds_every_attribute_traces_a_call_and_restores(tmp_path, monke
         assert cli.dispatch(argv) == 0
     assert not any(now is orig for now, orig in zip(traced, originals))
     assert "asymptotics.dichotomy_scan" in tracer.names
+    assert tracer.call_metrics(0, 0)["disc_family.inv_abs_im_phi_logtheta.calls"] > 0
     restored = [getattr(owner, attr) for owner, attr in targets]
     assert all(now is orig for now, orig in zip(restored, originals))
+
+    argv = ["propagate", "--s", "1", "--alpha", "0.2", "--n", "4096", "--etas", "0,0.5,1",
+            "--out", str(tmp_path / "prop.json")]
+    with tracer.installed(1):
+        assert cli.dispatch(argv) == 0
+    m = tracer.call_metrics(1, 0)
+    assert m["propagation.eta_cells"] == 3
+    assert m["bishop.solve_bishop.calls"] == 2  # eta = 1 and 0; eta = 0.5 is derived
+    assert m["disc_family.phi_boundary.calls"] > 0
+    assert m["profiles.boundary_trace.calls"] > 0

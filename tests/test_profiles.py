@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from disclab import (
     BumpDeformation,
+    CircleGrid,
     DiscFamilyParams,
     FlatProfile,
     KIND_IM,
     flatness_order_check,
     phi_boundary,
     profile_eval,
+    profiles,
 )
 
 
@@ -169,6 +171,59 @@ def test_trace_parts_are_eta_free_and_combine_to_the_trace():
         w_eta, b_eta = d.trace_parts(theta, phi, None)
         assert np.array_equal(w_eta, weight) and np.array_equal(b_eta, base_vals)
         assert np.array_equal(d.combine(weight, base_vals), d.boundary_trace(theta, phi, None))
+
+
+def _blend_weight_on_every_node(x):
+    """The blend weight as both halves of the step over every node, clipped."""
+
+    def step_half(x, live):
+        out = np.where(live, x, 1.0)
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)
+        out[~live] = 0.0
+        return out
+
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    lo, hi = step_half(x, x > 0.0), step_half(1.0 - x, x < 1.0)
+    hi += lo
+    lo /= hi
+    return lo if lo.ndim else lo[()]
+
+
+_BLEND_EDGES = (
+    -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-3, 0.5, 1.0 - 1e-16, 1.0, 2.0, math.inf,
+)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+def test_blend_weight_on_grids_is_bitwise_the_step_over_every_node(alpha, monkeypatch):
+    xs = []  # the x of every trace_parts call, as the bump hands it on
+    blend = profiles._blend_weight
+    monkeypatch.setattr(profiles, "_blend_weight", lambda x: xs.append(x) or blend(x))
+    d = bump(alpha=alpha)
+    for k in range(6, 19):
+        theta = CircleGrid(n=1 << k).theta
+        d.trace_parts(theta, np.zeros(theta.shape, complex), None)
+    assert len(xs) == 13
+    for x in xs:
+        assert 0 < np.count_nonzero((x > 0.0) & (x < 1.0)) < len(x)
+        assert blend(x).tobytes() == _blend_weight_on_every_node(x).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # -1/5e-324
+def test_blend_weight_edges_are_bitwise_the_step_over_every_node():
+    edges = np.array(_BLEND_EDGES)
+    got = profiles._blend_weight(edges)
+    assert got.tobytes() == _blend_weight_on_every_node(edges).tobytes()
+    assert got[2] == 0.0 and math.copysign(1.0, got[2]) == 1.0  # -0.0 gives +0.0
+    for v in _BLEND_EDGES:
+        for arg in (v, np.float64(v), np.array(v)):
+            got = profiles._blend_weight(arg)
+            want = _blend_weight_on_every_node(arg)
+            assert type(got) is type(want) is np.float64
+            assert got.tobytes() == want.tobytes(), v
+    assert np.isnan(profiles._blend_weight(math.nan))
+    assert np.isnan(profiles._blend_weight(np.array([0.5, math.nan]))[1])
 
 
 def test_eps_window_defaults_to_delta():
