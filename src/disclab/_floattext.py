@@ -2,7 +2,8 @@
 
 Ryu (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018) finds
 the shortest decimal that reads back as the same double with integer
-arithmetic alone.  `encode` runs its common case on whole uint64 arrays
+arithmetic alone.  `csv_rows` runs its common case on a whole block of
+float columns at once, interleaved in row order as one uint64 array,
 and lays the digits out as Python's `repr` does.  Everything that
 depends only on the biased exponent (Ryu's q and i, the shift j, the
 table column of the 125-bit multiplier M, the trailing-zero bounds) is
@@ -12,8 +13,9 @@ product times 4, plus 2M or minus (1 + mm_shift)M, shifted right by j
 (as Dragonbox, J. Jeon 2020, takes both ends of the interval from the
 value's own product).  The digits come from five uint16 groups of four
 places.  nan, +-inf, +-0.0 and the values Ryu sends through its
-exact-trailing-zero branch are formatted by `repr` itself.  `csv_rows`
-lays a block of float columns out as CSV text.
+exact-trailing-zero branch are formatted by `repr` itself.  The same
+gather that places the digits writes each cell's separator, a comma or,
+after the last column, a newline.
 """
 
 from __future__ import annotations
@@ -33,20 +35,19 @@ _POW5 = np.array([5**i for i in range(22)], np.uint64)
 # rows of the per-value source that a layout pattern picks bytes from:
 # 3..19 the significand's digits right-aligned in 17 places (0..2 pad
 # them to four groups of four), then the exponent's sign and its hundreds,
-# tens and ones, then the literals
+# tens and ones, then the literals, then the cell's separator
 _EXP_SIGN, _EXP_100, _EXP_10, _EXP_1 = 20, 21, 22, 23
-_MINUS, _DOT, _ZERO, _E, _NUL = 24, 25, 26, 27, 28
-_LITERALS = np.frombuffer(b"-.0e\0", dtype=np.uint8)
+_MINUS, _DOT, _ZERO, _E, _NUL, _SEP = 24, 25, 26, 27, 28, 29
+_LITERALS = np.frombuffer(b"-.0e\0,", dtype=np.uint8)
 _EXP_PLACES = np.array([[100], [10], [1]], np.uint32)
 _LAYOUTS = 22  # fixed notation with decpt -3..16, then exponents of 2 and 3 digits
-# values per pass, so most temporaries are 32 KiB: writing the 65,536-row
-# `attach` CSV took about 25 % longer with 2,048 and no less with 8,192
-# (2 vCPUs, numpy 2.4)
-_BLOCK = 4096
 
 
 def _patterns() -> np.ndarray:
-    """Source row of each byte of each repr, keyed by (sign, nd, layout): (748, WIDTH)."""
+    """Source row of each byte of each CSV cell, keyed by (sign, nd, layout): (748, WIDTH + 1).
+
+    Bytes 0..WIDTH-1 are the repr, NUL-padded; byte WIDTH is the separator.
+    """
     nd = np.arange(1, 18)[:, None, None]  # significand digits
     pt = np.arange(_LAYOUTS)[:, None] - 3  # decpt of fixed notation; 17 and 18 mean exponents
     c = np.arange(WIDTH)  # byte position in the unsigned repr
@@ -67,7 +68,8 @@ def _patterns() -> np.ndarray:
     whole = np.select([c < nd, c < pt, c == pt, c == pt + 1], [digit(c), _ZERO, _DOT, _ZERO], _NUL)
     unsigned = np.select([pt >= 17, pt <= 0, pt < nd], [exponent, below_one, split], whole)
     signed = np.concatenate([np.full(unsigned.shape[:-1] + (1,), _MINUS), unsigned[..., :-1]], -1)
-    return np.stack([unsigned, signed]).reshape(-1, WIDTH)
+    cells = np.stack([unsigned, signed]).reshape(-1, WIDTH)
+    return np.concatenate([cells, np.full((len(cells), 1), _SEP)], axis=1).astype(np.int32)
 
 
 def _pow5bits(e):
@@ -105,26 +107,18 @@ def _tables() -> tuple:
     q5 = np.where(up & (q <= 21), q, -1)
     exps = np.stack([np.where(up, q, 342 + i), j - 64, -i, zshift, q5]).astype(np.int16)
 
-    # each pattern byte's index in the flattened (_NUL + 1, _BLOCK) source, less its column
-    return mul, exps, _patterns() * _BLOCK
-
-
-def encode(x) -> np.ndarray:
-    """repr of each value of the 1-D x as NUL-padded bytes: shape (len(x), WIDTH)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((len(x), WIDTH), np.uint8)
-    for lo in range(0, len(x), _BLOCK):
-        out[lo : lo + _BLOCK] = _encode_block(x[lo : lo + _BLOCK])
-    return out
+    return mul, exps, _patterns()
 
 
 def csv_rows(columns) -> str:
-    """Equal-length 1-D float columns as CSV rows of each value's repr."""
-    text = np.empty((len(columns[0]), len(columns), WIDTH + 1), np.uint8)
-    for j, column in enumerate(columns):
-        text[:, j, :WIDTH] = encode(column)
-    text[:, :, WIDTH] = ord(",")
-    text[:, -1, WIDTH] = ord("\n")
+    """Equal-length 1-D float columns as CSV rows of each value's repr.
+
+    The whole block is one encoder pass: the columns are interleaved in
+    row order, and each cell's comma or newline comes with its digits.
+    """
+    # any float kind converts exactly; float32 alone would stay float32
+    x = np.stack(columns, axis=1, dtype=np.float64).ravel()
+    text = _encode_block(x, len(columns))
     return text[text != 0].tobytes().decode("ascii")
 
 
@@ -187,8 +181,8 @@ def _shortest(vr, vp, vm):
     return digits, removed
 
 
-def _encode_block(x) -> np.ndarray:
-    """(len(x), WIDTH) bytes of the 1-D float64 array x, len(x) <= _BLOCK."""
+def _encode_block(x, width) -> np.ndarray:
+    """CSV cells of the contiguous float64 x in rows of `width`: (len(x), WIDTH + 1) bytes."""
     mul_table, exp_table, patterns = _tables()
     k = len(x)
     bits = x.view(np.uint64)
@@ -219,27 +213,31 @@ def _encode_block(x) -> np.ndarray:
     key = ((bits >> 63).astype(np.intp) * 17 + nd - 1) * _LAYOUTS + layout
 
     # the source rows, one per column of bytes: a pattern row picks from them
-    src = np.empty((_NUL + 1, _BLOCK), np.uint8)
+    src = np.empty((_SEP + 1, k), np.uint8)
     groups = np.empty((5, k), np.uint16)  # 20 places in fours, the leading one first
     for g in range(4, 0, -1):
         high = digits // 10000
         groups[g] = digits - high * 10000
         digits = high
     groups[0] = digits
-    places = src[:20, :k].reshape(5, 4, k)
+    places = src[:20].reshape(5, 4, k)
     for col in range(3, -1, -1):
         tenth = groups // 10
         places[:, col] = groups - tenth * 10 + 48
         groups = tenth
-    src[_EXP_SIGN, :k] = np.where(decpt > 0, ord("+"), ord("-"))
-    src[_EXP_100 : _EXP_1 + 1, :k] = exp // _EXP_PLACES % 10 + 48
+    src[_EXP_SIGN] = np.where(decpt > 0, ord("+"), ord("-"))
+    src[_EXP_100 : _EXP_1 + 1] = exp // _EXP_PLACES % 10 + 48
     src[_MINUS:] = _LITERALS[:, None]
+    src[_SEP, width - 1 :: width] = ord("\n")
+    # each byte's index in the flattened source: int32 holds (_SEP + 1) * k,
+    # since a pass is one CLI chunk of at most _CSV_CHUNK_ROWS rows
     index = patterns.take(key, axis=0)
-    index += np.arange(k)[:, None]
+    index *= k
+    index += np.arange(k, dtype=np.int32)[:, None]
     out = src.ravel().take(index)
 
     rest = np.flatnonzero(fallback)
     if len(rest):
         text = np.array([repr(val) for val in x[rest].tolist()], dtype=f"S{WIDTH}")
-        out[rest] = text.view(np.uint8).reshape(-1, WIDTH)
+        out[rest, :WIDTH] = text.view(np.uint8).reshape(-1, WIDTH)
     return out

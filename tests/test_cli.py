@@ -1083,7 +1083,7 @@ def test_csv_block_without_float_arrays_calls_no_encoder(monkeypatch, capsys):
         raise AssertionError("the encoder was called")
 
     monkeypatch.setattr(cli, "csv_rows", refuse)
-    monkeypatch.setattr(_floattext, "encode", refuse)
+    monkeypatch.setattr(_floattext, "_encode_block", refuse)
     argv = ["fa-scan", "--s", "0.6,0.75,1.0,1.5,2.0", "--alphas", "0.2,0.1,0.05,0.025,0.0125"]
     rc, out, _ = run_cli(argv + ["--delta", "1.0"], capsys)
     assert rc == 0
@@ -1112,6 +1112,22 @@ def test_attach_csv_on_stdout_is_the_out_file_written_in_row_chunks(tmp_path, mo
     rows = cli._CSV_CHUNK_ROWS
     assert len(pieces) == 1 + 16384 // rows
     assert [piece.count("\n") for piece in pieces[1:]] == [rows] * (16384 // rows)
+
+
+def test_attach_csv_takes_one_encoder_pass_per_chunk(tmp_path, monkeypatch):
+    # a chunk's float columns are encoded together, not one pass per column
+    widths = []
+    encode_block = _floattext._encode_block
+
+    def counting(x, width):
+        widths.append(width)
+        return encode_block(x, width)
+
+    monkeypatch.setattr(_floattext, "_encode_block", counting)
+    argv = ["attach", "--n", "16384", "--delta", "0.2", "--eta", "1.0"]
+    assert dispatch(argv + ["--out", str(tmp_path / "attach.csv")]) == 0
+    # theta, re_phi, im_phi, u and v in each of the 16384 / 4096 chunks
+    assert widths == [5] * (16384 // cli._CSV_CHUNK_ROWS) == [5] * 4
 
 
 # ---- parser

@@ -1,7 +1,8 @@
 """The CSV float encoder against Python's own repr, byte for byte.
 
-`repr` is the reference throughout: every row the encoder writes must
-hold exactly the bytes of repr(float(x)), NUL-padded to the row width.
+`repr` is the reference throughout: every CSV field the encoder writes
+must hold exactly the text of repr(float(x)), every row its fields
+joined by commas and ended by a newline.
 """
 
 import subprocess
@@ -12,21 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclab import _floattext
-from disclab._floattext import WIDTH, _bounds, _tables, encode
+from disclab._floattext import _bounds, _tables, csv_rows
+from disclab.cli import _CSV_CHUNK_ROWS
 from conftest import package_env
 
 
-def reference(x) -> np.ndarray:
-    text = [repr(v) for v in np.asarray(x, dtype=np.float64).tolist()]
-    return np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
-
-
 def assert_repr_bytes(x):
+    # one column a chunk at a time, as the CLI writes it: a single pass
+    # over 200,000 values would hold about 100 MB of temporaries
     x = np.asarray(x, dtype=np.float64)
-    got, want = encode(x), reference(x)
-    assert got.shape == want.shape
-    bad = np.flatnonzero((got != want).any(axis=1))
-    assert not len(bad), [(repr(float(x[i])), got[i].tobytes()) for i in bad[:5]]
+    chunks = [csv_rows([x[lo : lo + _CSV_CHUNK_ROWS]]) for lo in range(0, len(x), _CSV_CHUNK_ROWS)]
+    got = "".join(chunks).split("\n")
+    assert got.pop() == ""
+    want = [repr(v) for v in x.tolist()]
+    assert len(got) == len(want)
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, [(want[i], got[i]) for i in bad[:5]]
+
+
+def row_reference(columns) -> str:
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
 
 
 def _edges() -> list:
@@ -119,15 +125,54 @@ def test_few_values_fall_back_to_repr(monkeypatch):
 
 
 def test_empty_and_strided_input():
-    assert encode(np.zeros(0)).shape == (0, WIDTH)
+    assert csv_rows([np.zeros(0)]) == ""
     grid = np.linspace(-2.0, 3.0, 4099 * 2).reshape(-1, 2)
     assert_repr_bytes(grid[:, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(0, 2**64 - 1), min_size=width, max_size=width),
+            min_size=1,
+            max_size=40,
+        )
+    )
+)
+def test_any_block_of_columns(rows):
+    columns = list(np.array(rows, dtype=np.uint64).view(np.float64).T)
+    assert csv_rows(columns) == row_reference(columns)
+
+
+def test_blocks_of_every_float_kind():
+    # the CLI admits any float dtype: each converts exactly to float64
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal(50) * 10.0 ** rng.integers(-30, 30, 50)
+    half = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 4, 50)
+    blocks = [
+        [x.astype(np.float32), (x[::-1] * 3).astype(np.float32)],
+        [half.astype(np.float16), x],
+        [x.astype(">f8"), x[::-1].astype(">f8"), x],
+    ]
+    for columns in blocks:
+        assert csv_rows(columns) == row_reference(columns)
+
+
+def test_specials_keep_their_separators_in_any_column():
+    # nan, +-inf, +-0.0, 0.5 and 1.0 are formatted by repr, not by the gather
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 1.0])
+    plain = np.linspace(-3.7, 11.3, len(specials))
+    for j in range(3):
+        columns = [plain * (k + 1) for k in range(3)]
+        columns[j] = specials
+        assert csv_rows(columns) == row_reference(columns)
 
 
 def test_importing_the_cli_builds_no_table():
     code = (
         "import disclab.cli, disclab._floattext as f; "
-        "print(f._tables.cache_info().currsize); f.encode([0.5]); "
+        "print(f._tables.cache_info().currsize); f.csv_rows([[0.5]]); "
         "print(f._tables.cache_info().currsize)"
     )
     proc = subprocess.run(
