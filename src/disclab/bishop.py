@@ -174,7 +174,7 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
             if height is None:
                 height = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
             v_next = hilbert_t1(BoundaryFunction(grid, height)).values
-        inc = float(np.max(np.abs(v_next - v)))
+        inc = 0.0 if v_next is v else float(np.max(np.abs(v_next - v)))  # v - v is 0.0
         increments.append(inc)
         v = v_next
         if inc <= p.tol:

@@ -24,7 +24,8 @@ A BoundaryFunction computes its cosine coefficients once, on first
 read, and shares them read-only with every coefficient reader; they are
 freed with the function, never kept by the module.  Every reader walks
 the ray to the contact point, where the sine modes vanish, so no sine
-coefficient is kept.
+coefficient is kept.  Likewise the grid owns its read-only mode ramp
+k = 1..n/2 and poisson_radial's rows r^k, one per distinct radius.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class CircleGrid:
         th = 2.0 * np.pi * np.arange(self.n) / self.n
         th.flags.writeable = False
         return th
+
+    @functools.cached_property
+    def ramp(self) -> np.ndarray:
+        k = np.arange(1, self.n // 2 + 1, dtype=float)  # mode numbers k = 1..n/2
+        k.flags.writeable = False
+        return k
+
+    _ray_rows = functools.cached_property(lambda self: {})  # r's bits -> row r^k, k = 1..n/2
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -143,18 +152,22 @@ def conjugate(f: BoundaryFunction) -> BoundaryFunction:
     cos k theta -> sin k theta, sin k theta -> -cos k theta,
     constants -> 0.
     """
+    return BoundaryFunction._adopt(f.grid, _conjugate_values(f))
+
+
+def _conjugate_values(f: BoundaryFunction) -> np.ndarray:  # fresh and writable
     _require_real(f, "conjugate")
     spec = np.fft.rfft(f.values)
     spec *= -1j
     spec[0] = 0.0
     spec[-1] = 0.0  # Nyquist: the conjugate mode samples to zero on the grid
-    return BoundaryFunction._adopt(f.grid, np.fft.irfft(spec, f.grid.n))
+    return np.fft.irfft(spec, f.grid.n)
 
 
 def hilbert_t1(f: BoundaryFunction) -> BoundaryFunction:
     """Conjugate normalized to vanish at theta = 0: T_1 f = T f - (T f)(0)."""
-    g = conjugate(f)
-    vals = g.values - g.values[0]
+    vals = _conjugate_values(f)
+    vals -= vals[0]  # vals[0] is read as a scalar copy before the subtraction
     vals[0] = 0.0  # exact zero at the normalization node
     return BoundaryFunction._adopt(f.grid, vals)
 
@@ -169,9 +182,11 @@ def poisson_radial(f: BoundaryFunction, radii) -> np.ndarray:
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all((radii >= 0.0) & (radii < 1.0)):
         raise ValueError("all radii must lie in [0, 1)")
-    a = f.coeffs
-    k = np.arange(1, f.grid.n // 2 + 1, dtype=float)
-    return a[0] + np.power.outer(radii, k) @ a[1:]
+    a, rows = f.coeffs, f.grid._ray_rows
+    keys = radii.ravel().view(np.uint64).tolist()  # -0.0 keeps a row of its own
+    new = list(dict.fromkeys(key for key in keys if key not in rows))  # each made once per grid
+    rows.update(zip(new, np.power.outer(np.array(new, np.uint64).view(float), f.grid.ramp)))
+    return a[0] + np.stack([rows[key] for key in keys]).reshape(*radii.shape, -1) @ a[1:]
 
 
 def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
@@ -200,7 +215,7 @@ def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
     """
     _require_real(f, "radial_derivative")
     a = f.coeffs[1:]
-    k = np.arange(1, len(a) + 1, dtype=float)
+    k = f.grid.ramp
     if method == "spectral":
         return float(np.dot(k, a))
     if method != "quadrature":

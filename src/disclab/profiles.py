@@ -18,7 +18,11 @@ Only the plateau depends on eta.  A bump's trace is therefore split
 into its eta-free part, trace_parts() = (blend weight, base profile
 values), and the affine combine() with the plateau; boundary_trace is
 combine(trace_parts), so the formula lives in one place, and a sweep
-over eta computes the parts once and combines them per eta.
+over eta computes the parts once and combines them per eta; nothing is
+kept here (the grid owns its angles, mode ramp and ray rows).  The fold
+x = (theta + pi) mod 2 pi is x - 2 pi where x >= 2 pi when every theta
+lies in [0, 2 pi): then x <= 3 pi, so by Sterbenz's lemma the difference
+is exact and has np.mod's bits.  Other angles go through np.mod.
 
 Every parameter must be finite: an infinite s, delta or eps_window
 would otherwise pass the positivity checks and yield -inf or NaN heights.
@@ -161,7 +165,10 @@ class BumpDeformation:
         # fold to a distance from theta = 0 on the circle, in [0, pi], then
         # x = log2(dist / window), all in place on one fresh array
         x = np.atleast_1d(th) + np.pi
-        np.mod(x, 2.0 * np.pi, out=x)
+        if np.all((th >= 0.0) & (th < 2.0 * np.pi)):  # exact (module doc)
+            np.subtract(x, 2.0 * np.pi, out=x, where=x >= 2.0 * np.pi)
+        else:
+            np.mod(x, 2.0 * np.pi, out=x)
         x -= np.pi
         np.abs(x, out=x)
         np.maximum(x, 1e-300, out=x)

@@ -75,6 +75,13 @@ def midpoint_radial_derivative(a, m: int = 1 << 18) -> float:
     return total / (2.0 * np.pi)
 
 
+def poisson_radial_per_call(f, radii):
+    """poisson_radial with its own np.power.outer table on every call."""
+    a = f.coeffs
+    k = np.arange(1, f.grid.n // 2 + 1, dtype=float)
+    return a[0] + np.power.outer(np.atleast_1d(np.asarray(radii, dtype=float)), k) @ a[1:]
+
+
 class CoupledSurface:
     """Test-local surface with genuine second-component feedback.
 

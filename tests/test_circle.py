@@ -15,7 +15,7 @@ from disclab import (
     poisson_radial,
     radial_derivative,
 )
-from conftest import midpoint_radial_derivative
+from conftest import midpoint_radial_derivative, poisson_radial_per_call
 
 
 # ---- grid and boundary containers
@@ -202,6 +202,72 @@ def test_poisson_rejects_unit_radius():
     for radii in ([1.0], [0.5, 1.0], [0.5, np.nan]):
         with pytest.raises(ValueError):
             poisson_radial(f, np.array(radii))
+
+
+RADII_SETS = [
+    (0.9, 0.99, 0.999, 0.9999),  # the transversal profile's radii
+    (0.99, 0.995, 0.999, 0.9995, 0.9999),  # the coverage radii: overlap the profile's
+    (0.3, 0.5),  # disjoint from both
+    (0.7, 0.7, 0.99, 0.7),  # a repeated radius
+    (0.9999, 0.2, 0.995, 0.0),  # unsorted, with r = 0
+    (-0.0, 0.0, 0.5),  # -0.0 and 0.0 are distinct bit patterns
+    (0.99,),
+]
+
+
+@pytest.mark.parametrize("log2n", range(10, 17))
+def test_ray_rows_are_bitwise_the_per_call_power_table(log2n):
+    g = CircleGrid(n=1 << log2n)
+    rng = np.random.default_rng(log2n)
+    spec = rng.standard_normal(g.n // 2 + 1) + 1j * rng.standard_normal(g.n // 2 + 1)
+    f = BoundaryFunction(g, np.fft.irfft(spec, g.n))  # every mode, Nyquist included
+    u = BoundaryFunction(g, np.fft.irfft(spec / np.arange(1, g.n // 2 + 2) ** 2, g.n))
+    for _ in range(2):  # the second pass reads every row from the grid
+        for radii in RADII_SETS:
+            for fn in (f, u):
+                got = poisson_radial(fn, np.array(radii))
+                assert got.tobytes() == poisson_radial_per_call(fn, radii).tobytes(), radii
+    block = np.array([[0.5, 0.9], [0.99, 0.5]])
+    got = poisson_radial(u, block)
+    assert got.shape == (2, 2)
+    assert got.tobytes() == poisson_radial_per_call(u, block).tobytes()
+    strided = np.array(RADII_SETS[1] * 2)[::2]
+    assert poisson_radial(u, strided).tobytes() == poisson_radial_per_call(u, strided).tobytes()
+    assert poisson_radial(u, 0.9).tobytes() == poisson_radial_per_call(u, 0.9).tobytes()
+
+
+def test_one_power_row_per_distinct_radius_per_grid(monkeypatch):
+    made = []
+    outer = np.power.outer
+
+    class Power:
+        @staticmethod
+        def outer(radii, k):
+            made.extend(radii.tolist())
+            return outer(radii, k)
+
+    g = CircleGrid(n=1024)
+    f = BoundaryFunction(g, np.cos(g.theta) + 0.5 * np.cos(3.0 * g.theta))
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "power", Power)
+        for radii in RADII_SETS:
+            poisson_radial(f, np.array(radii))
+        poisson_radial(BoundaryFunction(g, np.sin(g.theta)), np.array(RADII_SETS[0]))
+        fresh = CircleGrid(n=1024)  # another grid owns rows of its own
+        poisson_radial(BoundaryFunction(fresh, np.cos(fresh.theta)), np.array([0.9]))
+    bits = [np.float64(r).tobytes() for radii in RADII_SETS for r in radii]
+    assert len(made) == len(set(bits)) + 1
+    assert sorted(np.float64(r).tobytes() for r in made[:-1]) == sorted(set(bits))
+    assert made[-1] == 0.9
+
+
+def test_ramp_is_built_once_and_read_only():
+    g = CircleGrid(n=64)
+    k = g.ramp
+    assert g.ramp is k
+    assert k.tobytes() == np.arange(1, 33, dtype=float).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        k[0] = 0.0
 
 
 def test_coefficients_are_shared_and_read_only():

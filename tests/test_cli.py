@@ -125,6 +125,17 @@ def test_disc_json_schema(tmp_path, capsys):
     assert doc["config"]["alpha"] == 0.1
 
 
+def test_disc_concentration_where_the_arc_start_underflows(tmp_path, capsys):
+    # exp(-delta/alpha) = exp(-1000) underflows; the check is answered in t = -log theta
+    rc, _, err = run_cli(["disc", "--n", "16", "--alpha", "2e-4"], capsys)
+    assert rc == 0
+    assert err == "boundary concentrates within delta=0.2 of the squeeze limit: true\n"
+    out_file = tmp_path / "disc.json"
+    argv = ["disc", "--n", "16", "--alpha", "2e-4", "--format", "json", "--out", str(out_file)]
+    assert run_cli(argv, capsys)[0] == 0
+    assert json.loads(out_file.read_text())["concentrated_within_delta"] is True
+
+
 def test_disc_shifted_family_skips_concentration(capsys):
     # the concentration statement is about the unshifted family only
     rc, _, err = run_cli(["disc", "--n", "256", "--eps-shift", "0.05"], capsys)

@@ -1,6 +1,7 @@
 """Squeezed-disc family: boundary values, small-angle expansion, concentration."""
 
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disclab import disc_family
 from disclab import (
     LOG4,
     SQUEEZE_LIMIT,
@@ -319,6 +321,28 @@ def test_modulus_growth_ratio_stabilizes():
 )
 def test_concentration_cases(alpha, delta, want):
     assert concentration_bound_check(DiscFamilyParams(alpha=alpha), delta) is want
+
+
+@pytest.mark.parametrize("alpha, delta", [(2e-4, 0.2), (1e-6, 0.2), (5e-5, 0.05), (1e-300, 0.7)])
+def test_concentration_holds_where_the_arc_start_underflows(alpha, delta):
+    assert math.exp(-delta / alpha) == 0.0
+    assert concentration_bound_check(DiscFamilyParams(alpha=alpha), delta) is True
+
+
+def test_concentration_in_log_angles_gives_the_same_answers(monkeypatch):
+    # the t = -log theta samples, forced where e^{-delta/alpha} is a normal double
+    cases = [(0.2, 0.2), (0.1, 0.2), (0.05, 0.2), (0.05, 0.1), (0.1, 0.05), (0.01, 0.3)]
+    want = [concentration_bound_check(DiscFamilyParams(alpha=a), d) for a, d in cases]
+    assert want == [True, True, True, True, False, True]
+
+    class Math(types.ModuleType):
+        def __getattr__(self, attr):
+            return getattr(math, attr)
+
+    proxy = Math("math")
+    proxy.exp = lambda x: 0.0
+    monkeypatch.setattr(disc_family, "math", proxy)
+    assert [concentration_bound_check(DiscFamilyParams(alpha=a), d) for a, d in cases] == want
 
 
 def test_concentration_validates_input():

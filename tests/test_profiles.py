@@ -1,6 +1,7 @@
 """Flat profiles, the bump-deformed surface, and vanishing-order checks."""
 
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -171,6 +172,76 @@ def test_trace_parts_are_eta_free_and_combine_to_the_trace():
         w_eta, b_eta = d.trace_parts(theta, phi, None)
         assert np.array_equal(w_eta, weight) and np.array_equal(b_eta, base_vals)
         assert np.array_equal(d.combine(weight, base_vals), d.boundary_trace(theta, phi, None))
+
+
+# ---- folding the angle
+
+
+class _Numpy(types.ModuleType):
+    def __getattr__(self, attr):
+        return getattr(np, attr)
+
+
+def _fold_as_traced(theta, monkeypatch):
+    """(theta + pi) folded as trace_parts folds it, and the numpy function that folded it."""
+    folds = []
+
+    def spy(name):
+        fn = getattr(np, name)
+
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            folds.append((name, np.array(kwargs["out"], copy=True)))
+            return out
+
+        return call
+
+    proxy = _Numpy("numpy")
+    proxy.subtract, proxy.mod = spy("subtract"), spy("mod")
+    with monkeypatch.context() as mp:
+        mp.setattr(profiles, "np", proxy)
+        with np.errstate(invalid="ignore"):  # np.mod of an infinite angle is NaN
+            bump().trace_parts(theta, np.zeros(np.shape(theta), complex), None)
+    ((name, fold),) = folds
+    return fold, name
+
+
+def _np_mod_fold(theta):
+    with np.errstate(invalid="ignore"):
+        return np.mod(np.atleast_1d(np.asarray(theta, dtype=float)) + np.pi, 2.0 * np.pi)
+
+
+def test_fold_is_bitwise_np_mod_and_grid_angles_never_reach_it(monkeypatch):
+    two_pi = 2.0 * np.pi
+    assert np.pi + np.pi == two_pi  # at theta = pi the fold meets x = 2 pi exactly
+    below, above = np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0)
+    rng = np.random.default_rng(27)
+    in_range = [CircleGrid(n=1 << k).theta for k in range(3, 21)] + [
+        np.array([np.pi]),
+        np.array([below, np.pi, above]),
+        np.array([-0.0, 0.0, np.nextafter(two_pi, 0.0), 5e-324]),
+        rng.uniform(0.0, two_pi, 1 << 18),
+        rng.uniform(np.pi - 1e-6, np.pi + 1e-6, 1 << 12),
+        np.float64(np.pi),
+        np.array(-0.0),
+        1.0,
+    ]
+    for theta in in_range:
+        fold, name = _fold_as_traced(theta, monkeypatch)
+        assert name == "subtract"
+        assert fold.tobytes() == _np_mod_fold(theta).tobytes()
+    fold, _ = _fold_as_traced(np.pi, monkeypatch)
+    assert fold[0] == 0.0 and math.copysign(1.0, fold[0]) == 1.0
+    grid = CircleGrid(n=1 << 10).theta
+    outside = [
+        -grid, grid + two_pi, np.array([two_pi]), np.array([-1e-300, 1.0]),
+        np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.array([-np.inf]),
+        rng.uniform(-20.0, 20.0, 1 << 12), np.float64(-1.0), np.nan,
+    ]
+    for theta in outside:
+        fold, name = _fold_as_traced(theta, monkeypatch)
+        assert name == "mod"
+        assert fold.tobytes() == _np_mod_fold(theta).tobytes()
 
 
 def _blend_weight_on_every_node(x):

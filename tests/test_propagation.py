@@ -19,6 +19,7 @@ from disclab import (
     run_experiment,
 )
 from disclab import bishop, circle, profiles, propagation
+from conftest import poisson_radial_per_call
 
 
 @pytest.fixture(scope="module")
@@ -523,7 +524,7 @@ def test_eta_free_work_is_done_once_per_experiment(monkeypatch):
     assert counts == {"base profile": 1, "blend weight": 1}
 
 
-def test_one_transform_per_function_and_one_power_table_per_ray(monkeypatch):
+def test_one_transform_per_function_and_one_power_row_per_radius(monkeypatch):
     transformed = []  # (kind, input array); the arrays are kept so no id is reused
     tables = []  # radii of each np.power.outer table
     rays = []  # radii of each poisson_radial call
@@ -572,7 +573,10 @@ def test_one_transform_per_function_and_one_power_table_per_ray(monkeypatch):
         assert sum(a is disc.u.values for a in inputs) == 1
     # the profile and coverage rays of the head solve, the coverage ray at eta = 0
     assert rays == [cfg.r_profile, cfg.r_coverage, cfg.r_coverage]
-    assert tables == rays
+    # one power row per distinct radius of the run: 6, where the rays ask for 14
+    rows = [r for table in tables for r in table]
+    assert sorted(rows) == sorted(set(cfg.r_profile + cfg.r_coverage))
+    assert len(rows) == 6
 
 
 def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
@@ -587,6 +591,7 @@ def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
 
         return call
 
+    monkeypatch.setattr(propagation, "CircleGrid", kept(circle.CircleGrid))
     monkeypatch.setattr(propagation, "phi_on_grid", kept(bishop.phi_on_grid))
     monkeypatch.setattr(profiles.BumpDeformation, "trace_parts",
                         kept(profiles.BumpDeformation.trace_parts))
@@ -595,7 +600,31 @@ def test_shared_arrays_are_freed_when_the_experiment_returns(monkeypatch):
     monkeypatch.setattr(circle.BoundaryFunction, "coeffs", coeffs)
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
     assert report.points_down
-    # phi, weight, base values and each u's coefficients
-    assert len(refs) >= 1 + 2 + 2
+    # the grid (which owns the ray rows), phi, weight, base values and each u's coefficients
+    assert len(refs) >= 1 + 1 + 2 + 2
     alive = [ref() for ref in refs if ref() is not None]
     assert alive == []
+
+
+@pytest.mark.parametrize("log2n", range(10, 17))
+@pytest.mark.parametrize(
+    "r_profile, r_coverage",
+    [
+        (ExperimentConfig.r_profile, ExperimentConfig.r_coverage),  # overlapping
+        ((0.5, 0.6), (0.7, 0.8, 0.9)),  # disjoint
+        ((0.9, 0.99, 0.9), (0.99, 0.99, 0.995)),  # repeated radii
+        ((0.9999, 0.9, 0.99), (0.995, 0.99, 0.9995, 0.5)),  # unsorted
+    ],
+)
+def test_rays_are_bitwise_the_per_call_power_tables(log2n, r_profile, r_coverage, monkeypatch):
+    cfg = ExperimentConfig(
+        s=1.0, alpha=0.2, n=1 << log2n, r_profile=r_profile, r_coverage=r_coverage
+    )
+    got = run_experiment(cfg)
+    monkeypatch.setattr(propagation, "poisson_radial", poisson_radial_per_call)
+    want = run_experiment(cfg)
+    assert repr(got.transversal_profile) == repr(want.transversal_profile)
+    assert [repr(c.min_x2) for c in got.eta_classifications] == [
+        repr(c.min_x2) for c in want.eta_classifications
+    ]
+    assert repr(got) == repr(want)
