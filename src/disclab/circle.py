@@ -280,7 +280,7 @@ def spectral_identity_errors(n: int) -> list:
     tau = 1.  Every error is at rounding level on a working toolkit.
     """
     grid = CircleGrid(n=n)
-    th = grid.theta
+    j = np.arange(n)
     rng = np.random.default_rng(0)
     checks = []
 
@@ -290,8 +290,10 @@ def spectral_identity_errors(n: int) -> list:
     ):
         worst = 0.0
         for k in range(1, n // 4 + 1):
-            got = conjugate(BoundaryFunction(grid, mode(k * th))).values
-            worst = max(worst, float(np.max(np.abs(got - image(k * th)))))
+            # k theta_j reduced exactly mod 2 pi (the error of k * theta grows with k)
+            kth = 2.0 * np.pi * ((k * j) % n) / n
+            got = conjugate(BoundaryFunction(grid, mode(kth))).values
+            worst = max(worst, float(np.max(np.abs(got - image(kth)))))
         checks.append((f"conjugate maps {name}, k <= n/4", worst))
 
     zeros = conjugate(BoundaryFunction(grid, np.ones(n))).values

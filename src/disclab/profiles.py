@@ -55,9 +55,8 @@ __all__ = [
 
 KIND_IM = "exp_abs_y"  # h = exp(-1/|y1|^s), y1 = Im z1
 
-# Exponents below this underflow double precision; the true value is then
-# smaller than any representable positive number and 0 is the exact
-# rounding, not an approximation.
+# Heights below e^-700 (about 9.9e-305, still a normal double; doubles
+# underflow only below e^-745.1) are flushed to 0.
 _EXP_FLOOR = -700.0
 
 
@@ -92,8 +91,8 @@ class FlatProfile:
 def profile_eval(p: FlatProfile, y1):
     """exp(-1/|y|^s) at y = y1.
 
-    The exponent is formed in log space; whenever it drops below -700 the
-    result underflows doubles and 0 is returned exactly, as at y1 = 0.
+    The exponent is formed in log space; where it drops below -700 the
+    height is flushed to 0, as it is exactly 0 at y1 = 0.
     """
     y = np.asarray(y1, dtype=float)
     out = np.abs(np.atleast_1d(y))  # a fresh array, worked on in place
@@ -171,9 +170,15 @@ class BumpDeformation:
             np.mod(x, 2.0 * np.pi, out=x)
         x -= np.pi
         np.abs(x, out=x)
-        np.maximum(x, 1e-300, out=x)
-        x /= self.window()
-        np.log2(x, out=x)
+        window = self.window()
+        if window >= 1e-300:  # the floor keeps theta = 0 inside the window
+            np.maximum(x, 1e-300, out=x)
+            x /= window
+            np.log2(x, out=x)
+        else:  # dist / window would overflow; log2(0) = -inf keeps theta = 0 inside
+            with np.errstate(divide="ignore"):
+                np.log2(x, out=x)
+            x -= self.log_window() / math.log(2.0)
         weight = _blend_weight(x if th.ndim else x[0])
         return weight, self.base.boundary_trace(theta, phi, y2)
 

@@ -30,12 +30,13 @@ A derived cell classifies the node whose u is x0 + eta (x1 - x0), and
 most nodes answer the same for every derived eta: far inside the window
 u stays at the base height, far outside it |u - base| grows with |eta|,
 and the ball test depends on eta only through u^2 + v^2.  One pass over
-the nodes settles every node that no derived eta can flip, by exact
-bounds with rounding margins (_Settled); only the rest are classified
-per cell, by the same formula as a solved cell (_classify), on short
-arrays gathered once.  Every count equals the one the formula gives on
-the full arrays.  The radial derivative and the deepest x2 of a derived
-cell are x0 + eta (x1 - x0) as before.
+the nodes settles every node that no derived eta can flip, by the
+cell's own formula at the end etas of each run of one sign, which
+rounding leaves monotone in eta (_Settled); only the rest are
+classified per cell, by the same formula as a solved cell (_classify),
+on short arrays gathered once.  Every count equals the one the formula
+gives on the full arrays.  The radial derivative and the deepest x2 of
+a derived cell are x0 + eta (x1 - x0) as before.
 
 phi on the grid, the bump's blend weight and base-profile values (which
 also serve as the classification's undeformed heights) and
@@ -190,6 +191,20 @@ class _Sweep:
         return _cell(eta, len(u), counts, rd, along_ray)
 
 
+# A cell's formulas, read by _classify and _Settled alike: a derived value, the
+# residual (on the surface where |r| <= tol) and the ball radius (in where <= delta)
+def _derived(x0, slope, eta: float):
+    return x0 + eta * slope
+
+
+def _residual(u, base_vals):
+    return u - base_vals
+
+
+def _ball_radius(center_dist2, u_sq, v_sq):
+    return np.sqrt(center_dist2 + u_sq + v_sq)
+
+
 def _classify(u, v, base_vals, center_dist2, tol: float, delta: float) -> tuple:
     """(on surface, in the ball, either) node counts for heights u and v.
 
@@ -200,8 +215,8 @@ def _classify(u, v, base_vals, center_dist2, tol: float, delta: float) -> tuple:
     be vacuous (every node attaches to it by construction), so the
     residual here is taken against the base profile.
     """
-    on_surface = np.abs(u - base_vals) <= tol
-    in_ball = np.sqrt(center_dist2 + u**2 + v**2) <= delta
+    on_surface = np.abs(_residual(u, base_vals)) <= tol
+    in_ball = _ball_radius(center_dist2, u**2, v**2) <= delta
     return (
         int(np.count_nonzero(on_surface)),
         int(np.count_nonzero(in_ball)),
@@ -223,70 +238,43 @@ def _cell(eta: float, n: int, counts: tuple, rd: float, along_ray) -> EtaCell:
     )
 
 
-# Rounding margins of _Settled's bounds: relative to the magnitudes a
-# tested quantity is built from, and absolute for products that underflow
-_REL_MARGIN = 2.0**-40
-_ABS_MARGIN = 2.0**-1060
-
-
 class _Settled:
     """The derived cells of one sweep: each node classified once if it can be.
 
-    A derived cell reads u = u0 + eta du and v = v0 + eta dv from the
-    values x0 at eta = 0 and the slope x1 - x0, with eta neither 0 nor 1.
-    Let lo and hi be the least and greatest |eta| over the derived etas
-    (lo > 0), c = |u0 - base|, d = |du|, U = |u0| + d, V = |v0| + |dv| and
-    cd2 = |phi - center|^2.  As every eta lies in [-1, 1], |u| <= U and
-    |v| <= V, and a node is, for every derived eta,
+    A derived cell (eta neither 0 nor 1) classifies _derived u and v by
+    _classify.  IEEE-754 + - * sqrt are correctly rounded, hence
+    monotone: the residual r = _residual(u, base) is monotone in eta,
+    u^2 in |u|, and the ball radius in each of its terms.  So the cell's
+    own expressions at the end etas bound every derived cell exactly.  r
+    may cross tol near eta = 0, which is no derived eta, so each run of
+    one sign is bounded apart.  A node is, for every derived eta,
 
-      on the surface   when c + hi d + M <= tol, as |u - base| <= c + |eta| d;
-      off the surface  when lo d - c - M > tol or c - hi d - M > tol, as
-                       |u - base| >= |eta| d - c and >= c - |eta| d;
-      in the ball      when sqrt(B + Mb) <= delta, B = cd2 + U^2 + V^2;
+      on the surface   when |r| <= tol at both ends of each run;
+      off the surface  when in each run r > tol at both ends or < -tol at both;
+      in the ball      when the radius of cd2 = |phi - center|^2 and the larger
+                       u^2 and v^2 at the least and greatest eta is <= delta;
       out of the ball  when sqrt(cd2) > delta.
 
-    A node settled both ways adds the same to every derived cell's counts;
-    the others are gathered once and go through _classify cell by cell,
-    so no (cells x n) block is formed.
-
-    The bounds hold for the values _classify computes, not only for exact
-    ones.  Every quantity that the surface tests compare, on the cell's
-    side and the bound's, is at most U + |base| + tol, and every one that
-    the ball tests compare is at most B.  Each side of a comparison is a
-    float expression of at most 8 rounded operations on such quantities.
-    Counting 2^-53 of that bracket per rounding, and a square's doubling
-    of the error in its argument, the two sides together err by at most
-    14 2^-53 times the bracket, to first order (7 for the surface tests,
-    14 for the ball test); a product that underflows errs by up to
-    2^-1075 more.  The margins are
-
-      M  = 2^-40 (U + |base| + tol) + 2^-1060,
-      Mb = 2^-40 B + 2^-1060,
-
-    2^13 2^-53 times the bracket, a factor of more than 500 over the
-    rounding, plus 2^15 times the underflow error of one product.  The
-    out-of-ball test needs no margin: the cell adds u^2 + v^2 >= 0 to
-    cd2, and rounding and the square root are monotone.  The off-surface
-    and out-of-ball tests are strict, as the complement of the cell's <=
-    is, so a node at tol or at delta itself is never settled off or out.
+    The off and out tests are strict, as the complement of the cell's <=
+    is, and a NaN settles nothing.  The nodes left are gathered once and
+    go through _classify cell by cell, so no (cells x n) block is formed.
     """
 
     def __init__(self, sweep: _Sweep, x0: tuple, slope: tuple, etas):
-        cfg = sweep.cfg
         (u0, v0, self.rd0, self.ray0), (du, dv, self.d_rd, self.d_ray) = x0, slope
-        base, cd2 = sweep.base_vals, sweep.center_dist2
-        self.n, self.tol, self.delta = len(u0), cfg.tol, cfg.delta
-        lo = min(abs(eta) for eta in etas)
-        hi = max(abs(eta) for eta in etas)
-        c, d = np.abs(u0 - base), np.abs(du)
-        big_u = np.abs(u0) + d
-        margin = _REL_MARGIN * (big_u + np.abs(base) + cfg.tol) + _ABS_MARGIN
-        hi_d = hi * d
-        on = c + hi_d + margin <= cfg.tol
-        off = (lo * d - c - margin > cfg.tol) | (c - hi_d - margin > cfg.tol)
-        bound = cd2 + big_u**2 + (np.abs(v0) + np.abs(dv)) ** 2
-        inside = np.sqrt(bound + _REL_MARGIN * bound + _ABS_MARGIN) <= cfg.delta
-        outside = np.sqrt(cd2) > cfg.delta
+        base, cd2, tol = sweep.base_vals, sweep.center_dist2, sweep.cfg.tol
+        self.n, self.tol, self.delta = len(u0), tol, sweep.cfg.delta
+        lo, hi = min(etas), max(etas)
+        u_sq = np.maximum(_derived(u0, du, lo) ** 2, _derived(u0, du, hi) ** 2)
+        v_sq = np.maximum(_derived(v0, dv, lo) ** 2, _derived(v0, dv, hi) ** 2)
+        inside = _ball_radius(cd2, u_sq, v_sq) <= self.delta
+        outside = np.sqrt(cd2) > self.delta
+        on = off = True
+        for run in ([e for e in etas if e < 0.0], [e for e in etas if e > 0.0]):
+            if run:
+                r_a, r_b = (_residual(_derived(u0, du, eta), base) for eta in (min(run), max(run)))
+                on = on & (np.abs(r_a) <= tol) & (np.abs(r_b) <= tol)
+                off = off & ((np.minimum(r_a, r_b) > tol) | (np.maximum(r_a, r_b) < -tol))
         settled = (on | off) & (inside | outside)
         self.counts = tuple(
             int(np.count_nonzero(cls & settled)) for cls in (on, inside, on | inside)
@@ -298,15 +286,15 @@ class _Settled:
 
     def cell(self, eta: float) -> EtaCell:
         counts = _classify(
-            self.u0 + eta * self.du, self.v0 + eta * self.dv, self.base, self.cd2,
-            self.tol, self.delta,
+            _derived(self.u0, self.du, eta), _derived(self.v0, self.dv, eta),
+            self.base, self.cd2, self.tol, self.delta,
         )
         return _cell(
             eta,
             self.n,
             tuple(a + b for a, b in zip(self.counts, counts)),
-            self.rd0 + eta * self.d_rd,
-            self.ray0 + eta * self.d_ray,
+            _derived(self.rd0, self.d_rd, eta),
+            _derived(self.ray0, self.d_ray, eta),
         )
 
 

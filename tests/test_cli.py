@@ -66,6 +66,15 @@ def test_selftest_green(capsys):
     assert err == ""
 
 
+def test_selftest_green_on_a_large_grid(capsys):
+    # the reference samples at k theta reduced exactly mod 2 pi; at k * theta
+    # their own rounding passed the 1e-12 threshold from n = 4096 on
+    rc, out, err = run_cli(["selftest", "--n", "4096"], capsys)
+    assert rc == 0 and err == ""
+    errors = [float(line.rsplit(" ", 1)[1]) for line in out.splitlines()]
+    assert len(errors) == 5 and max(errors) < 1e-14
+
+
 def test_selftest_writes_to_out_and_has_no_format(tmp_path, capsys):
     out_file = tmp_path / "selftest.txt"
     rc, out, _ = run_cli(["selftest", "--n", "256", "--out", str(out_file)], capsys)

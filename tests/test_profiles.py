@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -295,6 +296,18 @@ def test_blend_weight_edges_are_bitwise_the_step_over_every_node():
             assert got.tobytes() == want.tobytes(), v
     assert np.isnan(profiles._blend_weight(math.nan))
     assert np.isnan(profiles._blend_weight(np.array([0.5, math.nan]))[1])
+
+
+@pytest.mark.parametrize("alpha", [1.4e-4, 1e-4])  # window 6.2e-311, and 0 once rounded
+def test_a_window_below_1e_300_keeps_the_contact_node_inside(alpha):
+    d = bump(alpha=alpha)
+    assert d.window() < 1e-300
+    theta = CircleGrid(n=1 << 10).theta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weight, _ = d.trace_parts(theta, np.zeros(theta.shape, complex), None)
+    assert weight[0] == 0.0  # on the base profile at theta = 0, not on the plateau
+    assert np.all(weight[1:] == 1.0)  # every other node lies beyond 2 windows
 
 
 def test_eps_window_defaults_to_delta():

@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from disclab import (
     BishopProblem,
@@ -363,41 +365,114 @@ def _boundary_nodes(tol, delta, etas):
     return u0, du, v0, dv, base_vals, cd2
 
 
-def test_settling_is_exact_at_tol_and_delta(monkeypatch):
-    tol, delta = 2.0**-10, 0.2
-    etas = (-1.0, -0.45, 0.3, 0.85)
-    u0, du, v0, dv, base_vals, cd2 = _boundary_nodes(tol, delta, etas)
+def _settle(u0, du, v0, dv, base_vals, cd2, tol, delta, etas):
+    """_Settled over bare node arrays, with zero radial derivative and ray."""
     sweep = types.SimpleNamespace(
         cfg=types.SimpleNamespace(tol=tol, delta=delta), base_vals=base_vals, center_dist2=cd2
     )
     zeros = np.zeros(len(u0))
-    x0, slope = (u0, v0, 0.0, zeros), (du, dv, 0.0, zeros)
+    return propagation._Settled(sweep, (u0, v0, 0.0, zeros), (du, dv, 0.0, zeros), etas)
 
-    def mismatches():
-        settled = propagation._Settled(sweep, x0, slope, etas)
-        bad = []
-        for eta in etas:
-            counts = propagation._classify(
-                u0 + eta * du, v0 + eta * dv, base_vals, cd2, tol, delta
-            )
-            cell = settled.cell(eta)
-            if (cell.on_surface, cell.in_ball, len(u0) - cell.neither) != counts:
-                bad.append(eta)
-        return settled, bad
 
-    settled, bad = mismatches()
+def test_settling_is_exact_at_tol_and_delta():
+    tol, delta = 2.0**-10, 0.2
+    etas = (-1.0, -0.45, 0.3, 0.85)
+    nodes = _boundary_nodes(tol, delta, etas)
+    u0, du, v0, dv, base_vals, cd2 = nodes
+    settled = _settle(*nodes, tol, delta, etas)
+    bad = []
+    for eta in etas:
+        counts = propagation._classify(u0 + eta * du, v0 + eta * dv, base_vals, cd2, tol, delta)
+        cell = settled.cell(eta)
+        if (cell.on_surface, cell.in_ball, len(u0) - cell.neither) != counts:
+            bad.append(eta)
     assert bad == []
-    # the far family is settled both ways; the others are left to _classify
-    assert len(settled.u0) == len(u0) * 3 // 4
-    assert settled.counts[0] > 0 and settled.counts[1] > 0 and settled.counts[2] < len(u0) // 4
     for eta in etas:  # the families do straddle tol and delta at these etas
         u, v = u0 + eta * du, v0 + eta * dv
         assert 0 < np.count_nonzero(np.abs(u - base_vals) <= tol) < len(u0)
         assert 0 < np.count_nonzero(np.sqrt(cd2 + u**2 + v**2) <= delta) < len(u0)
-    # without the rounding margins the same nodes are settled on the wrong side
-    monkeypatch.setattr(propagation, "_REL_MARGIN", 0.0)
-    monkeypatch.setattr(propagation, "_ABS_MARGIN", 0.0)
-    assert mismatches()[1] != []
+    # the far family is settled whole; each family at tol or delta is settled
+    # in part, up to its last ulp, and the rest left to _classify
+    k = len(u0) // 4
+    left = [len(_settle(*(a[i:i + k] for a in nodes), tol, delta, etas).u0)
+            for i in range(0, len(u0), k)]
+    assert left[3] == 0 and all(0 < n < k for n in left[:3])
+
+
+def test_a_node_at_tol_or_delta_at_an_end_eta_is_settled():
+    """The bounds have no margin: a node whose cell sits exactly at tol or at
+    delta at an end eta is settled, and one a step beyond is left to _classify."""
+    tol, delta, etas = 2.0**-10, 0.25, (-1.0, 0.3, 0.85)
+    # |u - base| = tol at eta = -1 and less at 0.85; the ball radius is delta
+    # at eta = -1 and less at 0.85; every value below is exact in binary
+    u0 = np.array([0.75, np.nextafter(0.75, 1.0), 0.0, 0.0])
+    du = np.array([-tol, -tol, -0.125, -0.125])
+    cd2 = np.array([1.0, 1.0, 3.0 / 64.0, 3.0 / 64.0 + 2.0**-55])  # 4 ulps up
+    base_vals = np.array([0.75, 0.75, -1.0, -1.0])
+    zeros = np.zeros(4)
+    u = u0 - du
+    assert list(np.abs(u - base_vals) <= tol) == [True, False, False, False]
+    assert list(np.sqrt(cd2 + u**2) <= delta) == [False, False, True, False]
+    for i in range(4):
+        settled = _settle(*(a[i:i + 1] for a in (u0, du, zeros, zeros, base_vals, cd2)),
+                          tol, delta, etas)
+        assert len(settled.u0) == i % 2
+        assert settled.counts == ((1, 0, 1), (0, 0, 0), (0, 1, 1), (0, 0, 0))[i]
+
+
+# Derived eta sets: either sign, 1e-300 and -1e-300, duplicates, one eta
+_DERIVED_ETA = st.sampled_from([-1.0, -0.45, -1e-300, 1e-300, 0.3, 0.85]) | st.floats(
+    -1.0, 1.0, allow_subnormal=True
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    etas=st.lists(_DERIVED_ETA, min_size=1, max_size=6),
+    sign=st.sampled_from([None, -1.0, 1.0]),
+    tol=st.sampled_from([1e-300, 1e-12, 2.0**-10, 1e-3]),
+    delta=st.sampled_from([0.2, 0.25, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_settled_cells_equal_the_per_cell_formula_near_tol_and_delta(etas, sign, tol, delta, seed):
+    if sign is not None:  # one-signed sets
+        etas = [sign * abs(e) for e in etas]
+    etas = [e for e in etas if e != 0.0 and e != 1.0]
+    assume(etas)
+    rng = np.random.default_rng(seed)
+    k = 64
+    anchor = rng.choice(etas, size=(2, k))  # where a node's cell sits at tol or delta
+    side = np.where(rng.random(size=(2, k)) < 0.5, -1.0, 1.0)
+    # |u - base| = tol at the anchor, from bases up to 10^3 tol, slopes up to 3 tol
+    # or up to 3 tol / |anchor| (at most 3), so the residual may cross tol between runs
+    base_s = rng.uniform(-1.0, 1.0, size=k) * tol * 10.0 ** rng.uniform(0.0, 3.0, size=k)
+    du_s = rng.uniform(-3.0, 3.0, size=k) * tol
+    steep = du_s / np.maximum(np.abs(anchor[0]), tol)
+    du_s = np.where(rng.random(size=k) < 0.5, du_s, steep)
+    u0_s = base_s + side[0] * tol - anchor[0] * du_s
+    # |phi - center|^2 + u^2 + v^2 = delta^2 at the anchor, on the surface or far off it
+    u0_b, v0_b, du_b, dv_b = rng.uniform(-0.3, 0.3, size=(4, k)) * delta
+    u_b, v_b = u0_b + anchor[1] * du_b, v0_b + anchor[1] * dv_b
+    cd2_b = delta**2 - u_b**2 - v_b**2
+    base_b = u_b + np.where(side[1] > 0.0, tol, 1.0)
+    u0 = np.concatenate([u0_s, u0_b])
+    u0 += rng.integers(-4, 5, size=2 * k) * np.spacing(u0)
+    cd2 = np.concatenate([np.full(k, 4.0 * delta**2), cd2_b])
+    cd2 += rng.integers(-4, 5, size=2 * k) * np.spacing(cd2)
+    du = np.concatenate([du_s, du_b])
+    v0, dv = np.concatenate([np.zeros(k), v0_b]), np.concatenate([np.zeros(k), dv_b])
+    base_vals = np.concatenate([base_s, base_b])
+    settled = _settle(u0, du, v0, dv, base_vals, cd2, tol, delta, etas)
+    for eta in etas:
+        u, v = u0 + eta * du, v0 + eta * dv
+        on_surface = np.abs(u - base_vals) <= tol
+        in_ball = np.sqrt(cd2 + u**2 + v**2) <= delta
+        cell = settled.cell(eta)
+        assert (cell.on_surface, cell.in_ball, cell.neither) == (
+            int(np.count_nonzero(on_surface)),
+            int(np.count_nonzero(in_ball)),
+            2 * k - int(np.count_nonzero(on_surface | in_ball)),
+        ), eta
 
 
 def test_few_nodes_reach_the_per_cell_formula_for_a_derived_cell(monkeypatch):
