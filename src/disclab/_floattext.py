@@ -12,10 +12,11 @@ in 32-bit limbs carried into 64-bit words; Ryu's three bounds are that
 product times 4, plus 2M or minus (1 + mm_shift)M, shifted right by j
 (as Dragonbox, J. Jeon 2020, takes both ends of the interval from the
 value's own product).  The digits come from five uint16 groups of four
-places.  nan, +-inf, +-0.0 and the values Ryu sends through its
-exact-trailing-zero branch are formatted by `repr` itself.  The same
-gather that places the digits writes each cell's separator, a comma or,
-after the last column, a newline.
+places.  nan, +-inf, +-0.0, the values Ryu sends through its
+exact-trailing-zero branch and every value of magnitude 2**54 or more
+(Ryu's e2 >= 0 half, which no CLI column reaches) are formatted by
+`repr` itself.  The same gather that places the digits writes each
+cell's separator, a comma or, after the last column, a newline.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ WIDTH = 24  # len(repr(-2.2250738585072014e-308)): sign, 17 digits, '.', 'e-308'
 
 _M32 = np.uint64(0xFFFFFFFF)
 _POW10 = np.array([10**i for i in range(20)], np.uint64)
-_POW5 = np.array([5**i for i in range(22)], np.uint64)
 
 # rows of the per-value source that a layout pattern picks bytes from:
 # 3..19 the significand's digits right-aligned in 17 places (0..2 pad
@@ -83,29 +83,24 @@ def _tables() -> tuple:
 
     Built on first use: importing the CLI must not pay for them.
     """
-    # Ryu's 125-bit multipliers M: 2**k / 5**q for e2 >= 0, then 5**i / 2**k
-    pow5 = [5**q for q in range(342)]
-    mults = [(1 << (p.bit_length() + 124)) // p + 1 for p in pow5]
-    mults += [(p << 125) >> p.bit_length() for p in pow5[:326]]
+    # Ryu's 125-bit multipliers M = 5**i / 2**k, for e2 < 0
+    pow5 = [5**i for i in range(326)]
+    mults = [(p << 125) >> p.bit_length() for p in pow5]
     words = b"".join(m.to_bytes(16, "little") for m in mults)
     lo, hi = np.frombuffer(words, np.uint64).reshape(-1, 2).T
     # 32-bit limbs of M, then the 64-bit words of M and of 2M
     mul = np.stack([lo & _M32, lo >> 32, hi & _M32, hi >> 32, lo, hi, lo << 1, hi << 1 | lo >> 63])
 
-    # per biased exponent E, as int16: the column of M, j - 64, -i, the
-    # trailing-zero shift, and q where Ryu tests 5**q (else -1)
-    e2 = np.maximum(np.arange(2048), 1) - 1077
-    up = e2 >= 0
-    ep, en = np.maximum(e2, 0), np.maximum(-e2, 0)
-    q = np.where(up, ((ep * 78913) >> 18) - (ep > 3), ((en * 732923) >> 20) - (en > 1))
+    # per biased exponent E, as int16: the column of M, j - 64, -i and the
+    # trailing-zero shift; E >= 1077 (|x| >= 2**54), nan and inf take e2 = -1's row
+    en = 1077 - np.clip(np.arange(2048), 1, 1076)  # -e2
+    q = ((en * 732923) >> 20) - (en > 1)
     i = en - q
-    j = np.where(up, q - ep + 124 + _pow5bits(q), q - _pow5bits(i) + 125)
-    # for e2 < 0 and q < 63, Ryu's branch is taken where 2**q divides mv,
-    # that is where mv << (64 - q) wraps to 0; nan and inf shift by 64
-    zshift = np.where(~up & (q < 63), 64 - q, 0)
-    zshift[-1] = 64
-    q5 = np.where(up & (q <= 21), q, -1)
-    exps = np.stack([np.where(up, q, 342 + i), j - 64, -i, zshift, q5]).astype(np.int16)
+    j = q - _pow5bits(i) + 125
+    # Ryu's branch is taken where 2**q divides mv, that is where mv << (64 - q)
+    # wraps to 0; at e2 = -1, q = 0 sends every value to repr
+    zshift = np.where(q < 63, 64 - q, 0)
+    exps = np.stack([i, j - 64, -i, zshift]).astype(np.int16)
 
     return mul, exps, _patterns()
 
@@ -188,22 +183,14 @@ def _encode_block(x, width) -> np.ndarray:
     bits = x.view(np.uint64)
     ieee_e = ((bits >> 52) & 0x7FF).view(np.intp)
     ieee_m = bits & ((1 << 52) - 1)
-    col, shift, neg_i, zshift, q5 = exp_table.take(ieee_e, axis=1)
+    col, shift, neg_i, zshift = exp_table.take(ieee_e, axis=1)
     mv = np.where(ieee_e == 0, ieee_m, ieee_m | (1 << 52)) << 2
     mm_shift = (ieee_m != 0) | (ieee_e <= 1)
     vr, vp, vm = _bounds(mv, mul_table.take(col, axis=1), shift.astype(np.uint64), mm_shift)
 
-    # Ryu's exact-trailing-zero branch: where 2**q (e2 < 0) or 5**q (e2 >= 0)
-    # divides a bound; +-0.0, nan and inf land here too
+    # Ryu's exact-trailing-zero branch: where 2**q divides a bound; +-0.0,
+    # nan, inf and every |x| >= 2**54 land here too
     fallback = (mv << zshift.astype(np.uint64)) == 0
-    s = np.flatnonzero(q5 >= 0)
-    if len(s):
-        ms, p5 = mv[s], _POW5[q5[s]]
-        odd_s = (ms & 4).astype(bool)
-        mod5 = ms % 5 == 0
-        mm_s = mm_shift[s].astype(np.uint64)
-        fallback[s] |= np.where(mod5, ms % p5 == 0, ~odd_s & ((ms - 1 - mm_s) % p5 == 0))
-        vp[s] -= ~mod5 & odd_s & ((ms + 2) % p5 == 0)
     digits, removed = _shortest(vr, vp, vm)
 
     nd = np.searchsorted(_POW10[:17], digits, side="right")

@@ -192,21 +192,18 @@ def im_phi_expansion_check(params: DiscFamilyParams, theta: float):
 def concentration_bound_check(params: DiscFamilyParams, delta: float) -> bool:
     """Whether the boundary arc away from tau = 1 sits delta-close to 1/log 4.
 
-    Samples 100000 theta log-spaced over [e^{-delta/alpha}, pi] and tests
-    |phi(e^{i theta}) - 1/log 4| <= delta at every sample.  phi commutes
-    with conjugation and the center is real, so deviations at 2 pi - theta
-    equal those at theta and one half-circle of samples covers both.
-    Where e^{-delta/alpha} underflows they are even in t = -log theta, with
-    inv_abs_im_phi_logtheta's closed form for phi beyond t = 40.
+    Samples 100000 theta log-spaced over [e^{-delta/alpha}, pi], evenly in
+    t = -log theta, and tests |phi(e^{i theta}) - 1/log 4| <= delta at each.
+    phi commutes with conjugation and the center is real, so deviations at
+    2 pi - theta equal those at theta and one half-circle covers both.
+    Beyond t = 40 phi is inv_abs_im_phi_logtheta's closed form, so an arc
+    start e^{-delta/alpha} that underflows needs no theta.
     """
     if params.eps_shift != 0.0:
         raise ValueError("concentration check requires eps_shift = 0")
     require_concentration_delta(delta)
-    alpha, cutoff = params.alpha, math.exp(-delta / params.alpha)
-    if cutoff > 0.0:
-        phi = phi_boundary(params, np.geomspace(cutoff, math.pi, 100000))
-    else:
-        t = np.linspace(-math.log(math.pi), delta / alpha, 100000)
-        near = 1.0 / (LOG4 + alpha * (t[t > 40.0] + math.log(2.0)) + 0.5j * math.pi * alpha)
-        phi = np.concatenate((phi_boundary(params, np.exp(-t[t <= 40.0])), near))
+    alpha = params.alpha
+    t = np.linspace(-math.log(math.pi), delta / alpha, 100000)
+    near = 1.0 / (LOG4 + alpha * (t[t > 40.0] + math.log(2.0)) + 0.5j * math.pi * alpha)
+    phi = np.concatenate((phi_boundary(params, np.exp(-t[t <= 40.0])), near))
     return bool(np.max(np.abs(phi - SQUEEZE_LIMIT)) <= delta)

@@ -36,7 +36,7 @@ rounding leaves monotone in eta (_Settled); only the rest are
 classified per cell, by the same formula as a solved cell (_classify),
 on short arrays gathered once.  Every count equals the one the formula
 gives on the full arrays.  The radial derivative and the deepest x2 of
-a derived cell are x0 + eta (x1 - x0) as before.
+a derived cell are x0 + eta (x1 - x0).
 
 phi on the grid, the bump's blend weight and base-profile values (which
 also serve as the classification's undeformed heights) and

@@ -20,18 +20,20 @@ from disclab import asymptotics
 from disclab.asymptotics import _MAX_OPEN, _adaptive_simpson
 
 
-# values pinned by independent mpmath tanh-sinh runs at 40 digits; the
-# (2.0, 0.1) and (2.0, 0.05) log values at 50 digits
+# log values from independent mpmath runs at 50 digits (split at t0 +
+# {0, 1/64, 1/16, 1/4, 1, 3, 8, 20, 50}; tanh-sinh and Gauss-Legendre
+# agree to 1e-30 on every cell); each value is exp of its log, and 0.0
+# where that is below the double floor
 PINNED = {
-    (1.0, 0.2): (6.959832152071541e-08, -16.48052539),
-    (1.0, 0.1): (1.834815460075451e-13, -29.32666230),
-    (1.0, 0.05): (8.278842178185646e-25, -55.45092420),
-    (2.0, 0.2): (7.2532803735967255e-186, -426.29937347),
-    (2.0, 0.1): (0.0, -1481.26799080),
-    (2.0, 0.05): (0.0, -5566.69869391),
-    (0.75, 0.2): (0.03643654458165234, -3.31218304),
-    (0.75, 0.1): (0.058618955995496026, -2.83669715),
-    (0.75, 0.05): (2.974975551563458, 1.09023582),
+    (1.0, 0.2): (6.959831947245132e-08, -16.4805254154083),
+    (1.0, 0.1): (1.8348154333130285e-13, -29.3266623137755),
+    (1.0, 0.05): (8.278842133236154e-25, -55.4509242052135),
+    (2.0, 0.2): (7.253280188049207e-186, -426.299373490615),
+    (2.0, 0.1): (0.0, -1481.26799080096),
+    (2.0, 0.05): (0.0, -5566.69869391328),
+    (0.75, 0.2): (0.03643654457739185, -3.3121830360758),
+    (0.75, 0.1): (0.05861895598474521, -2.83669715373951),
+    (0.75, 0.05): (2.9749755513410414, 1.0902358209272),
 }
 
 

@@ -146,6 +146,23 @@ def test_holomorphy_defect_examples():
     assert abs(d - 1.0) <= 1e-12
 
 
+def holomorphy_defect_reference(u, v):
+    # the three-copy form: u + iv, its spectrum, the spectrum over n
+    spec = np.fft.fft(u.values + 1j * v.values) / u.grid.n
+    return float(np.max(np.abs(spec[u.grid.n // 2 + 1 :])))
+
+
+def test_holomorphy_defect_matches_its_three_copy_form_bit_for_bit():
+    rng = np.random.default_rng(236)
+    for k in range(3, 17):
+        g = CircleGrid(n=2**k)
+        for scale in 10.0 ** rng.uniform(-20, 4, 4):
+            u = BoundaryFunction(g, scale * rng.standard_normal(g.n))
+            pairs = [BoundaryFunction(g, scale * rng.standard_normal(g.n)), conjugate(u)]
+            for v in pairs:
+                assert holomorphy_defect(u, v) == holomorphy_defect_reference(u, v), (k, scale)
+
+
 def test_holomorphy_defect_refuses_grids_of_different_sizes():
     g, h = CircleGrid(n=256), CircleGrid(n=512)
     u = BoundaryFunction(g, np.cos(g.theta))

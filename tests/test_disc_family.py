@@ -1,7 +1,6 @@
 """Squeezed-disc family: boundary values, small-angle expansion, concentration."""
 
 import math
-import types
 
 import mpmath
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disclab import disc_family
 from disclab import (
     LOG4,
     SQUEEZE_LIMIT,
@@ -329,20 +327,28 @@ def test_concentration_holds_where_the_arc_start_underflows(alpha, delta):
     assert concentration_bound_check(DiscFamilyParams(alpha=alpha), delta) is True
 
 
-def test_concentration_in_log_angles_gives_the_same_answers(monkeypatch):
-    # the t = -log theta samples, forced where e^{-delta/alpha} is a normal double
+def concentration_geomspace_reference(params, delta):
+    # the theta samples of the form that sampled t = -log theta only where
+    # e^{-delta/alpha} underflows; every pair below has a normal arc start
+    cutoff = math.exp(-delta / params.alpha)
+    assert cutoff > 0.0
+    phi = phi_boundary(params, np.geomspace(cutoff, math.pi, 100000))
+    return bool(np.max(np.abs(phi - SQUEEZE_LIMIT)) <= delta)
+
+
+def test_concentration_in_log_angles_gives_the_same_answers():
     cases = [(0.2, 0.2), (0.1, 0.2), (0.05, 0.2), (0.05, 0.1), (0.1, 0.05), (0.01, 0.3)]
-    want = [concentration_bound_check(DiscFamilyParams(alpha=a), d) for a, d in cases]
-    assert want == [True, True, True, True, False, True]
-
-    class Math(types.ModuleType):
-        def __getattr__(self, attr):
-            return getattr(math, attr)
-
-    proxy = Math("math")
-    proxy.exp = lambda x: 0.0
-    monkeypatch.setattr(disc_family, "math", proxy)
-    assert [concentration_bound_check(DiscFamilyParams(alpha=a), d) for a, d in cases] == want
+    # and every sixth point of the 60 x 60 grid of alpha in [1.5e-3, 1]
+    # (log-spaced) and delta in [0.01, 0.72]
+    cases += [
+        (float(a), float(d))
+        for a in np.geomspace(1.5e-3, 1.0, 60)[::6]
+        for d in np.linspace(0.01, 0.72, 60)[::6]
+    ]
+    params = [(DiscFamilyParams(alpha=a), d) for a, d in cases]
+    got = [concentration_bound_check(p, d) for p, d in params]
+    assert got[:6] == [True, True, True, True, False, True]
+    assert got == [concentration_geomspace_reference(p, d) for p, d in params]
 
 
 def test_concentration_validates_input():

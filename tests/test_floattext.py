@@ -74,12 +74,8 @@ def test_any_float(values):
 
 
 def ryu_multiplier(ieee_e):
-    """Ryu's multiplier M and shift j for a biased exponent, in Python integers."""
+    """Ryu's multiplier M and shift j for a biased exponent below 1077, in Python integers."""
     e2 = max(ieee_e, 1) - 1077
-    if e2 >= 0:
-        q = len(str(2**e2)) - 1 - (e2 > 3)
-        p = 5**q
-        return (1 << (p.bit_length() + 124)) // p + 1, q - e2 + 124 + p.bit_length()
     q = len(str(5**-e2)) - 1 - (-e2 > 1)
     p = 5 ** (-e2 - q)
     return (p << 125) >> p.bit_length(), q - p.bit_length() + 125
@@ -88,17 +84,18 @@ def ryu_multiplier(ieee_e):
 def test_shared_product_bounds_match_python_integers():
     # vr, vp and vm come from one product m2 * M: check each against
     # ((4 m2 + d) * M) >> j for d = 0, 2 and -1 - mm_shift, at every biased
-    # exponent, with the extreme and a seeded draw of mantissas
+    # exponent of e2 < 0 (E >= 1077 goes to repr), with the extreme and a
+    # seeded draw of mantissas
     mul_table, exp_table, _ = _tables()
     rng = np.random.default_rng(2020)
-    ieee_e = np.repeat(np.arange(2047), 10)
-    m2 = np.tile([1 << 52, (1 << 53) - 1, 1, 0, 0] * 2, 2047).astype(np.uint64)
+    ieee_e = np.repeat(np.arange(1077), 10)
+    m2 = np.tile([1 << 52, (1 << 53) - 1, 1, 0, 0] * 2, 1077).astype(np.uint64)
     m2[m2 == 0] = rng.integers(1, 1 << 53, int((m2 == 0).sum()), dtype=np.uint64)
-    mm_shift = np.tile(np.repeat([False, True], 5), 2047)
+    mm_shift = np.tile(np.repeat([False, True], 5), 1077)
     col, shift = exp_table[:2].take(ieee_e, axis=1)
     got = _bounds(m2 << 2, mul_table.take(col, axis=1), shift.astype(np.uint64), mm_shift)
     words = mul_table[4:6].astype(object)
-    for e in range(2047):
+    for e in range(1077):
         mult, j = ryu_multiplier(e)
         assert int(words[0, col[10 * e]]) | int(words[1, col[10 * e]]) << 64 == mult, e
         assert int(shift[10 * e]) + 64 == j, e
@@ -122,6 +119,29 @@ def test_few_values_fall_back_to_repr(monkeypatch):
     x = rng.uniform(-1, 1, 100_000) * 10 ** rng.uniform(-8, 2, 100_000)
     assert_repr_bytes(x)
     assert len(calls) < 100
+
+
+def test_values_from_two_to_the_54_go_to_repr(monkeypatch):
+    # the encoder runs Ryu's e2 < 0 half alone: every |x| >= 2**54 is
+    # written by repr, and the bytes around that boundary are repr's
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(_floattext, "repr", counting_repr, raising=False)
+    edge = 2.0**54
+    values = [np.nextafter(edge, 0), edge, edge + 4, 1e16, 1.8e16, 1e22, 1e23]
+    values += [5.0**q * 2.0**k for q in range(31) for k in range(-8, 80, 3)]
+    rng = np.random.default_rng(54)
+    values += list(edge * 2.0 ** rng.uniform(0, 970, 2000))
+    x = np.array(values)
+    x = np.concatenate([x, -x])
+    assert_repr_bytes(x)
+    big = np.abs(x) >= edge
+    assert big.sum() > 2000
+    assert sorted(v for v in calls if abs(v) >= edge) == sorted(x[big].tolist())
 
 
 def test_empty_and_strided_input():
