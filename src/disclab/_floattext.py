@@ -12,11 +12,14 @@ in 32-bit limbs carried into 64-bit words; Ryu's three bounds are that
 product times 4, plus 2M or minus (1 + mm_shift)M, shifted right by j
 (as Dragonbox, J. Jeon 2020, takes both ends of the interval from the
 value's own product).  The digits come from five uint16 groups of four
-places.  nan, +-inf, +-0.0, the values Ryu sends through its
-exact-trailing-zero branch and every value of magnitude 2**54 or more
-(Ryu's e2 >= 0 half, which no CLI column reaches) are formatted by
-`repr` itself.  The same gather that places the digits writes each
-cell's separator, a comma or, after the last column, a newline.
+places.  nan, +-inf, +-0.0 and the values Ryu sends through its
+exact-trailing-zero branch are formatted by `repr` itself.  That branch
+takes every value of magnitude 2**49 or more, where q <= 2, so 2**q
+divides every mv = 4 m2 (from 2**54 up, Ryu's e2 >= 0 half, each value
+reads e2 = -1's row, whose q is 0), and the even significands of
+[2**47, 2**49); no CLI column reaches 2**47.  The same gather that
+places the digits writes each cell's separator, a comma or, after the
+last column, a newline.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ def _tables() -> tuple:
     i = en - q
     j = q - _pow5bits(i) + 125
     # Ryu's branch is taken where 2**q divides mv, that is where mv << (64 - q)
-    # wraps to 0; at e2 = -1, q = 0 sends every value to repr
+    # wraps to 0; mv = 4 m2, so from E = 1072 (|x| >= 2**49), where q <= 2,
+    # and at e2 = -1, where q = 0, every value goes to repr
     zshift = np.where(q < 63, 64 - q, 0)
     exps = np.stack([i, j - 64, -i, zshift]).astype(np.int16)
 
@@ -189,7 +193,7 @@ def _encode_block(x, width) -> np.ndarray:
     vr, vp, vm = _bounds(mv, mul_table.take(col, axis=1), shift.astype(np.uint64), mm_shift)
 
     # Ryu's exact-trailing-zero branch: where 2**q divides a bound; +-0.0,
-    # nan, inf and every |x| >= 2**54 land here too
+    # nan, inf and every |x| >= 2**49 land here too
     fallback = (mv << zshift.astype(np.uint64)) == 0
     digits, removed = _shortest(vr, vp, vm)
 

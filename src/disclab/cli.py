@@ -259,19 +259,20 @@ def _run_flatness(cfg, out_path, fmt) -> int:
     DiscFamilyParams(alpha=alpha)  # refuses an alpha outside (0, 1]
     rows = []
     orders = []  # (s, k, first and last log10 ratio, flat to order k)
+    # one evaluation per grid point, shared by every s and every order k
+    inv = inv_abs_im_phi_logtheta(alpha, np.array([-math.log(t) for t in _FLAT_THETAS]))
     for s in cfg["s"]:
         FlatProfile(kind=KIND_IM, s=s)  # refuses an s that is not positive and finite
 
-        # one evaluation per grid point, shared by every order k; an E that
-        # overflows is a failure, not -inf, which stands for a zero height
-        log_g = {}
-        for t in _FLAT_THETAS:
-            try:
-                log_g[t] = -(inv_abs_im_phi_logtheta(alpha, -math.log(t)) ** s)
-            except OverflowError:
-                raise DiscLabError(
-                    f"E = (1/|Im phi|)**s overflows doubles at s={s:g}, first at theta={t:g}"
-                ) from None
+        # float_power rounds as ** does; an E that overflows would read as a
+        # log height of -inf, which stands for a zero height, so it is a failure
+        with np.errstate(over="ignore"):
+            log_g = dict(zip(_FLAT_THETAS, (-np.float_power(inv, s)).tolist()))
+        over = [t for t, g in log_g.items() if g == -math.inf]
+        if over:
+            raise DiscLabError(
+                f"E = (1/|Im phi|)**s overflows doubles at s={s:g}, first at theta={over[0]:g}"
+            )
         for k in range(1, _FLAT_K_MAX + 1):
             log_ratios, flat = flatness_order_check(log_g.__getitem__, k, _FLAT_THETAS)
             log10s = [r / _LN10 for r in log_ratios]

@@ -25,7 +25,7 @@ and with A = log(1/4) + alpha A', B = alpha psi,
     phi = (-A + iB) / (A^2 + B^2) - eps_shift.
 
 This form is stable down to theta values where sin(theta/2) underflows;
-inv_abs_im_phi_logtheta pushes it further by working from t = -log theta
+_logtheta_parts pushes it further by working from t = -log theta
 directly, which the flat-integral quadratures need for t in the
 hundreds.
 """
@@ -115,23 +115,14 @@ def phi_boundary(params: DiscFamilyParams, theta) -> np.ndarray:
     return complex(out[0]) if th.ndim == 0 else out.reshape(th.shape)
 
 
-def inv_abs_im_phi_logtheta(alpha, t) -> np.ndarray:
-    """1/|Im phi_alpha(e^{i theta})| with theta = e^{-t}, stable for huge t.
+def _logtheta_parts(alpha, tt):
+    """(A, |B|) of the boundary formula at theta = e^{-tt}, for 1-d tt > -log(pi).
 
-    For t > 40 the angle is so small that sin(theta/2) = theta/2 and
+    Beyond t = 40 the angle is so small that sin(theta/2) = theta/2 and
     theta/2 - pi/2 = -pi/2 hold to strictly better than double precision,
-    so the formula continues in closed form long after e^{-t} itself
-    underflows.  Valid for e^{-t} < pi.  alpha is a scalar or an array
-    that broadcasts against t; each value equals the call with its own
-    scalar alpha.
+    so the parts continue in closed form long after e^{-t} itself
+    underflows.  |B| is a scalar when alpha is one and every t is beyond 40.
     """
-    tv = np.asarray(t, dtype=float)
-    if np.ndim(alpha):
-        tv, alpha = np.broadcast_arrays(tv, np.asarray(alpha, dtype=float))
-        alpha = alpha.reshape(-1)
-    tt = tv.reshape(-1)  # a view when t is contiguous
-    if np.any(tt <= -math.log(math.pi)):
-        raise ValueError("need e^{-t} < pi, i.e. t > -log(pi)")
     small = tt > 40.0
     # each branch is evaluated only where it is selected
     if small.all():
@@ -146,9 +137,26 @@ def inv_abs_im_phi_logtheta(alpha, t) -> np.ndarray:
         half = 0.5 * np.exp(-tt[wide])
         log_rho[wide] = np.log(np.sin(half))
         psi_abs[wide] = 0.5 * math.pi - half
-    a = -LOG4 + alpha * log_rho
-    b = alpha * psi_abs
-    out = (a * a + b * b) / (alpha * psi_abs)
+    return -LOG4 + alpha * log_rho, alpha * psi_abs
+
+
+def inv_abs_im_phi_logtheta(alpha, t) -> np.ndarray:
+    """1/|Im phi_alpha(e^{i theta})| with theta = e^{-t}, stable for huge t.
+
+    Valid for e^{-t} < pi, and exact in closed form long after e^{-t}
+    underflows (_logtheta_parts).  alpha is a scalar or an array that
+    broadcasts against t; each value equals the call with its own scalar
+    alpha.
+    """
+    tv = np.asarray(t, dtype=float)
+    if np.ndim(alpha):
+        tv, alpha = np.broadcast_arrays(tv, np.asarray(alpha, dtype=float))
+        alpha = alpha.reshape(-1)
+    tt = tv.reshape(-1)  # a view when t is contiguous
+    if np.any(tt <= -math.log(math.pi)):
+        raise ValueError("need e^{-t} < pi, i.e. t > -log(pi)")
+    a, b = _logtheta_parts(alpha, tt)
+    out = (a * a + b * b) / b
     return float(out[0]) if tv.ndim == 0 else out.reshape(tv.shape)
 
 
@@ -196,14 +204,14 @@ def concentration_bound_check(params: DiscFamilyParams, delta: float) -> bool:
     t = -log theta, and tests |phi(e^{i theta}) - 1/log 4| <= delta at each.
     phi commutes with conjugation and the center is real, so deviations at
     2 pi - theta equal those at theta and one half-circle covers both.
-    Beyond t = 40 phi is inv_abs_im_phi_logtheta's closed form, so an arc
-    start e^{-delta/alpha} that underflows needs no theta.
+    The samples go through _logtheta_parts, so an arc start e^{-delta/alpha}
+    that underflows needs no theta.
     """
     if params.eps_shift != 0.0:
         raise ValueError("concentration check requires eps_shift = 0")
     require_concentration_delta(delta)
     alpha = params.alpha
-    t = np.linspace(-math.log(math.pi), delta / alpha, 100000)
-    near = 1.0 / (LOG4 + alpha * (t[t > 40.0] + math.log(2.0)) + 0.5j * math.pi * alpha)
-    phi = np.concatenate((phi_boundary(params, np.exp(-t[t <= 40.0])), near))
-    return bool(np.max(np.abs(phi - SQUEEZE_LIMIT)) <= delta)
+    a, b = _logtheta_parts(alpha, np.linspace(-math.log(math.pi), delta / alpha, 100000))
+    # phi = -(A + i|B|)/(A^2 + B^2), up to a conjugation that leaves the distance
+    denom = a * a + b * b
+    return bool(np.max(np.hypot(a / denom + SQUEEZE_LIMIT, b / denom)) <= delta)

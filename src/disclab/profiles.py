@@ -163,13 +163,20 @@ class BumpDeformation:
         th = np.asarray(theta, dtype=float)
         # fold to a distance from theta = 0 on the circle, in [0, pi], then
         # x = log2(dist / window), all in place on one fresh array
-        x = np.atleast_1d(th) + np.pi
+        th1 = np.atleast_1d(th)
+        x = th1 + np.pi
         if np.all((th >= 0.0) & (th < 2.0 * np.pi)):  # exact (module doc)
             np.subtract(x, 2.0 * np.pi, out=x, where=x >= 2.0 * np.pi)
         else:
             np.mod(x, 2.0 * np.pi, out=x)
         x -= np.pi
         np.abs(x, out=x)
+        # theta + pi rounds away most of an angle below 2^-40, which no grid of
+        # up to 2^42 nodes has: such an angle is its own distance.  The fold
+        # leaves x within 2^-52 of |theta|, so only nodes with x < 2^-39 are read
+        near = np.flatnonzero(x < 2.0**-39)
+        near = near[np.abs(th1[near]) < 2.0**-40]
+        x[near] = np.abs(th1[near])
         window = self.window()
         if window >= 1e-300:  # the floor keeps theta = 0 inside the window
             np.maximum(x, 1e-300, out=x)

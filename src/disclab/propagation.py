@@ -125,6 +125,8 @@ class PropagationReport:
     radial_derivative: float  # primary value: trapezoid-rule quadrature at eta = 1
     radial_derivative_spectral: float
     radial_derivative_quadrature: float
+    # |spectral - quadrature|: the trapezoid rule is exact for the grid's
+    # interpolant, so this is rounding only, never an error estimate
     radial_discrepancy: float
     points_down: bool
     transversal_profile: tuple  # (r, u(r)) pairs along the inward axis at eta = 1
@@ -264,17 +266,18 @@ class _Settled:
         (u0, v0, self.rd0, self.ray0), (du, dv, self.d_rd, self.d_ray) = x0, slope
         base, cd2, tol = sweep.base_vals, sweep.center_dist2, sweep.cfg.tol
         self.n, self.tol, self.delta = len(u0), tol, sweep.cfg.delta
-        lo, hi = min(etas), max(etas)
-        u_sq = np.maximum(_derived(u0, du, lo) ** 2, _derived(u0, du, hi) ** 2)
+        runs = [run for run in ([e for e in etas if e < 0.0], [e for e in etas if e > 0.0]) if run]
+        u = {eta: _derived(u0, du, eta) for run in runs for eta in (min(run), max(run))}
+        lo, hi = min(u), max(u)  # the least and greatest eta end runs too
+        u_sq = np.maximum(u[lo] ** 2, u[hi] ** 2)
         v_sq = np.maximum(_derived(v0, dv, lo) ** 2, _derived(v0, dv, hi) ** 2)
         inside = _ball_radius(cd2, u_sq, v_sq) <= self.delta
         outside = np.sqrt(cd2) > self.delta
         on = off = True
-        for run in ([e for e in etas if e < 0.0], [e for e in etas if e > 0.0]):
-            if run:
-                r_a, r_b = (_residual(_derived(u0, du, eta), base) for eta in (min(run), max(run)))
-                on = on & (np.abs(r_a) <= tol) & (np.abs(r_b) <= tol)
-                off = off & ((np.minimum(r_a, r_b) > tol) | (np.maximum(r_a, r_b) < -tol))
+        for run in runs:
+            r_a, r_b = (_residual(u[eta], base) for eta in (min(run), max(run)))
+            on = on & (np.abs(r_a) <= tol) & (np.abs(r_b) <= tol)
+            off = off & ((np.minimum(r_a, r_b) > tol) | (np.maximum(r_a, r_b) < -tol))
         settled = (on | off) & (inside | outside)
         self.counts = tuple(
             int(np.count_nonzero(cls & settled)) for cls in (on, inside, on | inside)

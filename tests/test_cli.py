@@ -182,18 +182,18 @@ def test_flatness_table_format(capsys):
 
 
 def test_flatness_evaluates_each_log_height_once(monkeypatch, capsys):
-    calls = []
+    ts = []  # the t = -log theta of each 1/|Im phi| evaluated
 
     def counted(alpha, t):
-        calls.append(t)
+        ts.extend(np.ravel(t).tolist())
         return inv_abs_im_phi_logtheta(alpha, t)
 
     inv_abs_im_phi_logtheta = cli.inv_abs_im_phi_logtheta
     monkeypatch.setattr(cli, "inv_abs_im_phi_logtheta", counted)
     rc, _, _ = run_cli(["flatness", "--s", "0.4,1,2"], capsys)
     assert rc == 0
-    # 60 grid points per s, shared by the 8 orders k
-    assert len(calls) == 3 * 60
+    # one 1/|Im phi| per grid point, shared by the 3 values of s and the 8 orders k
+    assert ts == [-math.log(10.0**-j) for j in range(1, 61)]
 
 
 @pytest.mark.parametrize("s,theta", [("98", "1e-59"), ("1e308", "0.1")])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,9 +106,9 @@ def test_shared_product_bounds_match_python_integers():
             assert [int(v[r]) for v in got] == want, (e, int(m2[r]), bool(mm_shift[r]))
 
 
-def test_few_values_fall_back_to_repr(monkeypatch):
-    # the per-value path is for Ryu's exact-trailing-zero rows and the
-    # specials; a slide of ordinary values into it must fail here
+@pytest.fixture
+def repr_calls(monkeypatch):
+    """The values the encoder hands to its per-value repr path, in order."""
     calls = []
 
     def counting_repr(value):
@@ -115,22 +116,21 @@ def test_few_values_fall_back_to_repr(monkeypatch):
         return repr(value)
 
     monkeypatch.setattr(_floattext, "repr", counting_repr, raising=False)
+    return calls
+
+
+def test_few_values_fall_back_to_repr(repr_calls):
+    # the per-value path is for Ryu's exact-trailing-zero rows and the
+    # specials; a slide of ordinary values into it must fail here
     rng = np.random.default_rng(1618)
     x = rng.uniform(-1, 1, 100_000) * 10 ** rng.uniform(-8, 2, 100_000)
     assert_repr_bytes(x)
-    assert len(calls) < 100
+    assert len(repr_calls) < 100
 
 
-def test_values_from_two_to_the_54_go_to_repr(monkeypatch):
+def test_values_from_two_to_the_54_go_to_repr(repr_calls):
     # the encoder runs Ryu's e2 < 0 half alone: every |x| >= 2**54 is
     # written by repr, and the bytes around that boundary are repr's
-    calls = []
-
-    def counting_repr(value):
-        calls.append(value)
-        return repr(value)
-
-    monkeypatch.setattr(_floattext, "repr", counting_repr, raising=False)
     edge = 2.0**54
     values = [np.nextafter(edge, 0), edge, edge + 4, 1e16, 1.8e16, 1e22, 1e23]
     values += [5.0**q * 2.0**k for q in range(31) for k in range(-8, 80, 3)]
@@ -141,7 +141,21 @@ def test_values_from_two_to_the_54_go_to_repr(monkeypatch):
     assert_repr_bytes(x)
     big = np.abs(x) >= edge
     assert big.sum() > 2000
-    assert sorted(v for v in calls if abs(v) >= edge) == sorted(x[big].tolist())
+    assert sorted(v for v in repr_calls if abs(v) >= edge) == sorted(x[big].tolist())
+
+
+def test_every_value_from_two_to_the_49_goes_to_repr(repr_calls):
+    # from 2**49 up Ryu's q is at most 2, so 2**q divides every mv = 4 m2
+    # and the exact-trailing-zero branch takes each value of each binade
+    rng = np.random.default_rng(49)
+    mantissas = rng.integers(0, 1 << 52, (5, 2000), dtype=np.uint64)
+    mantissas[:, :2] = [0, (1 << 52) - 1]
+    exponents = np.arange(1023 + 49, 1023 + 54, dtype=np.uint64)[:, None] << np.uint64(52)
+    x = (exponents | mantissas).view(np.float64).ravel()
+    x = np.concatenate([x, -x])
+    assert np.all((2.0**49 <= np.abs(x)) & (np.abs(x) < 2.0**54))
+    assert_repr_bytes(x)
+    assert repr_calls == x.tolist()
 
 
 def test_empty_and_strided_input():

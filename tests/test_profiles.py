@@ -310,6 +310,19 @@ def test_a_window_below_1e_300_keeps_the_contact_node_inside(alpha):
     assert np.all(weight[1:] == 1.0)  # every other node lies beyond 2 windows
 
 
+def test_angles_below_the_fold_precision_keep_their_distance():
+    # theta + pi is pi for 0 < |theta| < 2.2e-16, so the fold alone would
+    # read such an angle as the contact point; at alpha = 1e-3 the window
+    # is 3.7e-44
+    d = bump(alpha=1e-3)
+    theta = np.array([0.0, 1e-45, 5e-44, 1e-43, 1e-17, -1e-17])
+    weight, _ = d.trace_parts(theta, np.zeros(theta.shape, complex), None)
+    assert weight[0] == weight[1] == 0.0
+    assert weight[2] == pytest.approx(profiles._blend_weight(math.log2(5e-44 / d.window())))
+    assert 0.0 < weight[2] < 1.0
+    assert np.all(weight[3:] == 1.0)
+
+
 def test_eps_window_defaults_to_delta():
     d = BumpDeformation(base=FlatProfile(kind=KIND_IM, s=1.0), delta=0.3, alpha=0.1)
     assert d.eps_window == 0.3
