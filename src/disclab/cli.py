@@ -30,6 +30,7 @@ the failure serialized to the output target as a JSON error object.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -66,6 +67,15 @@ _CSV_CHUNK_ROWS = 4096
 # acceptance criterion 3's grid: order k = 8 attenuates by 1e-10 only near 1e-42.6
 _FLAT_THETAS = [10.0 ** -j for j in range(1, 61)]
 _FLAT_K_MAX = 8
+
+# glibc's malloc maps each block of 128 kB or more (a threshold it raises
+# only as such blocks are freed) and unmaps it on free, and trims the heap
+# top beyond 128 kB: a warm `propagate --s 1` call then faulted in 500-700
+# fresh pages for its FFT and solver temporaries, 0-3 with these thresholds,
+# and took about 18 % less time.  32 MiB is glibc's 64-bit maximum
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
 
 class _UsageError(ValueError):
@@ -572,8 +582,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _keep_heap_pages() -> None:
+    """Keep the blocks a command frees in glibc's heap for its next ones.
+
+    Where the C library has no mallopt (it is not glibc) or refuses the
+    mmap threshold, nothing is set.  Outputs do not depend on it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def dispatch(argv=None) -> int:
     """Run one command line in-process and return its exit code."""
+    _keep_heap_pages()
     out_path = None
     try:
         try:

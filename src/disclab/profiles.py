@@ -171,12 +171,15 @@ class BumpDeformation:
             np.mod(x, 2.0 * np.pi, out=x)
         x -= np.pi
         np.abs(x, out=x)
-        # theta + pi rounds away most of an angle below 2^-40, which no grid of
-        # up to 2^42 nodes has: such an angle is its own distance.  The fold
-        # leaves x within 2^-52 of |theta|, so only nodes with x < 2^-39 are read
+        # theta + pi rounds away most of a distance below 2^-40, which no grid
+        # of up to 2^42 nodes has: such an angle near 0 is its own distance, one
+        # near 2 pi has 2 pi - theta, exact by Sterbenz.  The fold leaves x within
+        # 2^-50 of the distance, so only nodes with x < 2^-39 are read
         near = np.flatnonzero(x < 2.0**-39)
-        near = near[np.abs(th1[near]) < 2.0**-40]
-        x[near] = np.abs(th1[near])
+        th_near = th1[near]
+        dist = np.abs(np.where(th_near > np.pi, 2.0 * np.pi - th_near, th_near))
+        keep = dist < 2.0**-40
+        x[near[keep]] = dist[keep]
         window = self.window()
         if window >= 1e-300:  # the floor keeps theta = 0 inside the window
             np.maximum(x, 1e-300, out=x)

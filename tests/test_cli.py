@@ -1,12 +1,14 @@
 """End-to-end checks of the command-line front end, and of the package's exports.
 
 Everything runs in-process through main(argv) so exit codes, stdout,
-stderr, and --out files can all be asserted cheaply; two subprocess
-tests at the bottom run the module entry point, once to completion and
-once into a pipe that its reader closes.
+stderr, and --out files can all be asserted cheaply.  Subprocess tests
+at the bottom run the module entry point, once to completion and once
+into a pipe that its reader closes, and count the page faults of a warm
+call in a fresh process.
 """
 
 import ast
+import ctypes
 import dataclasses
 import hashlib
 import importlib
@@ -1366,6 +1368,71 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.count("ok ") == 5
+
+
+_WARM_FAULTS = """
+import resource, sys
+from disclab.cli import dispatch
+argv = ["propagate", "--s", "1", "--alpha", "0.2", "--etas", "0,1", "--format", "json",
+        "--out", sys.argv[1]]
+assert dispatch(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert dispatch(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_warm_propagate_call_reuses_the_heap(tmp_path):
+    # glibc maps and unmaps each block of 128 kB or more by default: the
+    # second call faulted in about 500 fresh pages that way, 0-3 with the
+    # thresholds dispatch sets
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_FAULTS, str(tmp_path / "p.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 16
+
+
+class _RefusingMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append(param)
+        return 0
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_c_library, lambda name: object()], ids=["oserror", "no-mallopt"]
+)
+def test_heap_settings_are_skipped_without_mallopt(cdll, monkeypatch, capsys):
+    opened = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or cdll(name))
+    assert cli._keep_heap_pages.__wrapped__() is None
+    cli._keep_heap_pages.cache_clear()  # dispatch runs the fallback too
+    rc, out, _ = run_cli(PROPAGATE_ARGS + ["--format", "json"], capsys)
+    assert opened == [None, None]
+    assert rc == 0
+    assert out == (GOLDEN / "propagate.json").read_text()
+
+
+def test_a_refused_mmap_threshold_sets_nothing_else(monkeypatch):
+    lib = _RefusingMallopt()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lib)
+    cli._keep_heap_pages.__wrapped__()
+    assert lib.calls == [cli._M_MMAP_THRESHOLD]
 
 
 def test_stdout_closed_by_its_reader():

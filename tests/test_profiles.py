@@ -323,6 +323,18 @@ def test_angles_below_the_fold_precision_keep_their_distance():
     assert np.all(weight[3:] == 1.0)
 
 
+def test_angles_just_below_two_pi_keep_their_distance():
+    # theta + pi - 2 pi rounds nextafter(2 pi, 0), about 8.9e-16 from the
+    # contact point, to distance 0; the window at alpha = 1e-3 is 3.7e-44
+    d = bump(alpha=1e-3)
+    top = np.nextafter(2.0 * np.pi, 0.0)
+    theta = np.array([top, np.nextafter(top, 0.0), 2.0 * np.pi - 1e-14, 2.0 * np.pi - 1e-12])
+    weight, _ = d.trace_parts(theta, np.zeros(theta.shape, complex), None)
+    assert np.all(weight == 1.0)
+    for th in theta:  # a scalar angle takes the same branch
+        assert d.trace_parts(th, 0j, None)[0] == 1.0
+
+
 def test_eps_window_defaults_to_delta():
     d = BumpDeformation(base=FlatProfile(kind=KIND_IM, s=1.0), delta=0.3, alpha=0.1)
     assert d.eps_window == 0.3
