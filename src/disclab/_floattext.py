@@ -14,12 +14,14 @@ product times 4, plus 2M or minus (1 + mm_shift)M, shifted right by j
 value's own product).  The digits come from five uint16 groups of four
 places.  nan, +-inf, +-0.0 and the values Ryu sends through its
 exact-trailing-zero branch are formatted by `repr` itself.  That branch
-takes every value of magnitude 2**49 or more, where q <= 2, so 2**q
-divides every mv = 4 m2 (from 2**54 up, Ryu's e2 >= 0 half, each value
-reads e2 = -1's row, whose q is 0), and the even significands of
-[2**47, 2**49); no CLI column reaches 2**47.  The same gather that
-places the digits writes each cell's separator, a comma or, after the
-last column, a newline.
+takes x where 2**q divides mv = 4 m2, with Ryu's q (q < 63; from 2**54
+up, Ryu's e2 >= 0 half, each value reads e2 = -1's row, whose q is 0).
+q falls as |x| grows: the branch takes every value from 2**49 up, half
+the significands of [2**47, 2**49), a quarter of [2**46, 2**47), an
+eighth of [2**44, 2**46), ever fewer below, and none under 2**-26
+(q = 54 there); it also takes short dyadic values such as 0.5, 0.75,
+1.0, 3.0 and 1024.0.  The same gather that places the digits writes
+each cell's separator, a comma or, after the last column, a newline.
 """
 
 from __future__ import annotations
@@ -51,28 +53,23 @@ def _patterns() -> np.ndarray:
 
     Bytes 0..WIDTH-1 are the repr, NUL-padded; byte WIDTH is the separator.
     """
-    nd = np.arange(1, 18)[:, None, None]  # significand digits
-    pt = np.arange(_LAYOUTS)[:, None] - 3  # decpt of fixed notation; 17 and 18 mean exponents
-    c = np.arange(WIDTH)  # byte position in the unsigned repr
-
-    def digit(t):  # row of the t-th digit, right-aligned in 17 places after 3 pad rows
-        return 20 - nd + t
-
-    e = nd + (nd > 1)  # position of the 'e'
-    exponent = np.select(
-        [c == 0, (c == 1) & (nd > 1), c < e, c == e, c == e + 1, c < e + pt - 13],
-        [digit(0), _DOT, digit(c - 1), _E, _EXP_SIGN, _EXP_1 + c - e - pt + 14],
-        _NUL,
-    )
-    below_one = np.select(
-        [c == 1, c < 2 - pt, c < 2 - pt + nd], [_DOT, _ZERO, digit(c - 2 + pt)], _NUL
-    )
-    split = np.select([c < pt, c == pt, c <= nd], [digit(c), _DOT, digit(c - 1)], _NUL)
-    whole = np.select([c < nd, c < pt, c == pt, c == pt + 1], [digit(c), _ZERO, _DOT, _ZERO], _NUL)
-    unsigned = np.select([pt >= 17, pt <= 0, pt < nd], [exponent, below_one, split], whole)
-    signed = np.concatenate([np.full(unsigned.shape[:-1] + (1,), _MINUS), unsigned[..., :-1]], -1)
-    cells = np.stack([unsigned, signed]).reshape(-1, WIDTH)
-    return np.concatenate([cells, np.full((len(cells), 1), _SEP)], axis=1).astype(np.int32)
+    rows = []
+    for sign in ([], [_MINUS]):
+        for nd in range(1, 18):  # significand digits, right-aligned in 17 places
+            digits = list(range(20 - nd, 20))
+            for pt in range(-3, _LAYOUTS - 3):  # decpt of fixed notation; 17 and 18 mean exponents
+                if pt >= 17:  # d.ddde+XX, d.ddde-XXX
+                    exp = [_E, _EXP_SIGN] + [_EXP_100, _EXP_10, _EXP_1][18 - pt :]
+                    text = digits[:1] + [_DOT] * (nd > 1) + digits[1:] + exp
+                elif pt <= 0:  # 0.00ddd
+                    text = [_ZERO, _DOT] + [_ZERO] * -pt + digits
+                elif pt < nd:  # dd.ddd
+                    text = digits[:pt] + [_DOT] + digits[pt:]
+                else:  # ddd00.0
+                    text = digits + [_ZERO] * (pt - nd) + [_DOT, _ZERO]
+                text = sign + text
+                rows.append(text + [_NUL] * (WIDTH - len(text)) + [_SEP])
+    return np.array(rows, np.int32)
 
 
 def _pow5bits(e):
@@ -100,8 +97,8 @@ def _tables() -> tuple:
     q = ((en * 732923) >> 20) - (en > 1)
     i = en - q
     j = q - _pow5bits(i) + 125
-    # Ryu's branch is taken where 2**q divides mv, that is where mv << (64 - q)
-    # wraps to 0; mv = 4 m2, so from E = 1072 (|x| >= 2**49), where q <= 2,
+    # Ryu's branch is taken where 2**q divides mv = 4 m2, that is where
+    # mv << (64 - q) wraps to 0: from E = 1072 (|x| >= 2**49), where q <= 2,
     # and at e2 = -1, where q = 0, every value goes to repr
     zshift = np.where(q < 63, 64 - q, 0)
     exps = np.stack([i, j - 64, -i, zshift]).astype(np.int16)
@@ -192,8 +189,8 @@ def _encode_block(x, width) -> np.ndarray:
     mm_shift = (ieee_m != 0) | (ieee_e <= 1)
     vr, vp, vm = _bounds(mv, mul_table.take(col, axis=1), shift.astype(np.uint64), mm_shift)
 
-    # Ryu's exact-trailing-zero branch: where 2**q divides a bound; +-0.0,
-    # nan, inf and every |x| >= 2**49 land here too
+    # Ryu's exact-trailing-zero branch: where 2**q divides mv; +-0.0, nan,
+    # inf and every |x| >= 2**49 land here too
     fallback = (mv << zshift.astype(np.uint64)) == 0
     digits, removed = _shortest(vr, vp, vm)
 

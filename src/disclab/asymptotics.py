@@ -203,12 +203,10 @@ def _adaptive_simpson(g, a, b, tol) -> list:
             halves = halves.transpose(1, 2, 0).reshape(7, -1)
             stack.append((halves, np.repeat(owner[~ok], 2), depth + 1))
     cells, ends, sums, errs = (np.concatenate(col) for col in zip(*accepted))
+    # bincount adds its weights in input order, so each cell sums its panels
+    # by descending left end
     order = np.lexsort((-ends, cells))
-    totals = [0.0] * a.size
-    errors = [0.0] * a.size
-    for c, panel_sum, panel_err in zip(*(v[order].tolist() for v in (cells, sums, errs))):
-        totals[c] += panel_sum
-        errors[c] += panel_err
+    totals, errors = (np.bincount(cells[order], v[order], a.size).tolist() for v in (sums, errs))
     return [(totals[c], errors[c]) if out is None else out for c, out in enumerate(outcomes)]
 
 
@@ -283,7 +281,7 @@ def _f_alpha_cells(specs) -> list:
         def g(cells: np.ndarray, t: np.ndarray) -> np.ndarray:
             inv = inv_abs_im_phi_logtheta(alpha[cells], t)
             e = t - np.float_power(inv, s[cells]) - crest[cells]
-            f = np.fromiter(map(math.exp, np.maximum(e, _LOG_TINY).tolist()), float, e.size)
+            f = np.fromiter(map(math.exp, e.tolist()), float, e.size)
             f[~(e > _LOG_TINY)] = 0.0
             return f
 

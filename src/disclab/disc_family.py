@@ -87,9 +87,8 @@ def _boundary_parts(alpha: float, theta: np.ndarray):
     half = (theta if in_range else np.mod(theta, 2.0 * np.pi)) * 0.5
     a = np.sin(half)
     at_one = a == 0.0
-    a[at_one] = 1.0
-    np.log(a, out=a)
-    a[at_one] = -np.inf
+    with np.errstate(divide="ignore"):  # log(0) = -inf at the at_one nodes
+        np.log(a, out=a)
     a *= alpha
     a += -LOG4
     half -= 0.5 * np.pi
@@ -121,22 +120,15 @@ def _logtheta_parts(alpha, tt):
     Beyond t = 40 the angle is so small that sin(theta/2) = theta/2 and
     theta/2 - pi/2 = -pi/2 hold to strictly better than double precision,
     so the parts continue in closed form long after e^{-t} itself
-    underflows.  |B| is a scalar when alpha is one and every t is beyond 40.
+    underflows.  The closed form is taken everywhere, then overwritten at
+    t <= 40 (and at a NaN t) by the exact one.
     """
-    small = tt > 40.0
-    # each branch is evaluated only where it is selected
-    if small.all():
-        log_rho = -tt - math.log(2.0)
-        psi_abs = 0.5 * math.pi
-    else:
-        log_rho = np.empty_like(tt)
-        psi_abs = np.empty_like(tt)
-        log_rho[small] = -tt[small] - math.log(2.0)
-        psi_abs[small] = 0.5 * math.pi
-        wide = ~small
-        half = 0.5 * np.exp(-tt[wide])
-        log_rho[wide] = np.log(np.sin(half))
-        psi_abs[wide] = 0.5 * math.pi - half
+    log_rho = -tt - math.log(2.0)
+    psi_abs = np.full_like(tt, 0.5 * math.pi)
+    wide = ~(tt > 40.0)
+    half = 0.5 * np.exp(-tt[wide])
+    log_rho[wide] = np.log(np.sin(half))
+    psi_abs[wide] = 0.5 * math.pi - half
     return -LOG4 + alpha * log_rho, alpha * psi_abs
 
 

@@ -100,7 +100,6 @@ def profile_eval(p: FlatProfile, y1):
         out **= -p.s
     np.negative(out, out=out)
     live = out >= _EXP_FLOOR
-    np.maximum(out, _EXP_FLOOR, out=out)
     np.exp(out, out=out)
     out[~live] = 0.0
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)

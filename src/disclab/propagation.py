@@ -92,6 +92,9 @@ class ExperimentConfig:
             raise ValueError("eta_grid must be nonempty")
         for eta in self.eta_grid:
             require_eta(eta)
+        for name in ("r_profile", "r_coverage"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         if any(not (0.0 < r < 1.0) for r in self.r_profile + self.r_coverage):
             raise ValueError("interior radii must lie in (0, 1)")
 

@@ -74,10 +74,15 @@ def test_any_float(values):
     assert_repr_bytes(values)
 
 
+def ryu_q(e2):
+    """Ryu's q for e2 < 0, in Python integers."""
+    return len(str(5**-e2)) - 1 - (-e2 > 1)
+
+
 def ryu_multiplier(ieee_e):
     """Ryu's multiplier M and shift j for a biased exponent below 1077, in Python integers."""
     e2 = max(ieee_e, 1) - 1077
-    q = len(str(5**-e2)) - 1 - (-e2 > 1)
+    q = ryu_q(e2)
     p = 5 ** (-e2 - q)
     return (p << 125) >> p.bit_length(), q - p.bit_length() + 125
 
@@ -156,6 +161,84 @@ def test_every_value_from_two_to_the_49_goes_to_repr(repr_calls):
     assert np.all((2.0**49 <= np.abs(x)) & (np.abs(x) < 2.0**54))
     assert_repr_bytes(x)
     assert repr_calls == x.tolist()
+
+
+def goes_to_repr(x) -> bool:
+    """Whether Ryu's exact-trailing-zero rule sends x to repr: 2**q divides mv = 4 m2.
+
+    Every value from 2**54 up, nan and inf read e2 = -1's row, whose q is 0;
+    a zero has mv = 0, and a subnormal's q is far above mv's 55 bits.
+    """
+    bits = int(np.float64(x).view(np.uint64))
+    ieee_e, ieee_m = bits >> 52 & 0x7FF, bits & ((1 << 52) - 1)
+    mv = 4 * (ieee_m | (ieee_e > 0) << 52)
+    return mv % 2 ** ryu_q(min(max(ieee_e, 1) - 1077, -1)) == 0
+
+
+def test_repr_takes_exactly_the_values_of_the_trailing_zero_rule(repr_calls):
+    # mantissas with 0..52 trailing zero bits in every binade 2**-40 .. 2**55
+    rng = np.random.default_rng(5252)
+    values = [0.5, 0.75, 1.0, 3.0, 1024.0]
+    for k in range(-40, 56):
+        for zeros in range(53):
+            for _ in range(2):
+                frac = (int(rng.integers(0, 1 << (52 - zeros))) | 1) << zeros if zeros < 52 else 0
+                bits = (1023 + k) << 52 | frac
+                values.append(float(np.uint64(bits).view(np.float64)))
+    x = np.array(values)
+    x = np.concatenate([x, -x])
+    assert_repr_bytes(x)
+    picked = [v for v in x.tolist() if goes_to_repr(v)]
+    assert repr_calls == picked
+    # the share picked falls as |x| grows: every value from 2**49 up, none under 2**-26
+    assert all(goes_to_repr(v) for v in values[:5])
+    share = {
+        k: np.mean([goes_to_repr(v) for v in values if 2.0**k <= v < 2.0 ** (k + 1)])
+        for k in (-27, -26, 46, 47, 48, 49, 55)
+    }
+    assert share[-27] == 0.0 < share[-26] and share[49] == share[55] == 1.0
+    assert share[47] == share[48] > share[46] > 0.0
+
+
+def layout_key(text) -> tuple:
+    """(sign, significant digits, layout) of a repr: layouts 0..19 are fixed
+    notation with decpt -3..16, 20 and 21 exponents of two and three digits."""
+    body, _, exp = text.lstrip("-").partition("e")
+    whole, _, frac = body.partition(".")
+    nd = len((whole + frac).strip("0"))
+    if exp:
+        return text[0] == "-", nd, 20 + (abs(int(exp)) >= 100)
+    decpt = len(whole) if whole != "0" else len(frac.lstrip("0")) - len(frac)
+    return text[0] == "-", nd, decpt + 3
+
+
+def test_every_layout_key_against_repr(repr_calls):
+    # one value per (sign, 1..17 digits, layout) from random digit strings; a
+    # value the table lays out is taken where there is one
+    rng = np.random.default_rng(748)
+    values = {}
+    for nd in range(1, 18):
+        for layout in range(_floattext._LAYOUTS):
+            decpt = layout - 3 if layout < 20 else (-9 - nd, -150 - nd)[layout - 20]
+            found = []
+            for _ in range(200):
+                d = "".join(map(str, rng.integers(1, 10, nd)))
+                x = float(f"0.{d}e{decpt}")
+                if layout_key(repr(x))[1:] == (nd, layout):
+                    found.append(x)
+                    if not goes_to_repr(x):
+                        break
+            values[False, nd, layout] = found[-1]
+            values[True, nd, layout] = -found[-1]
+    assert len(values) == 2 * 17 * _floattext._LAYOUTS == len(_tables()[2])
+    assert all(layout_key(repr(x)) == key for key, x in values.items())
+    x = np.array(list(values.values()))
+    assert_repr_bytes(x)
+    # the table lays out every key but the integer ones and decpt 16 (|x| >= 1e15)
+    by_repr = {layout_key(repr(v)) for v in repr_calls}
+    dead = {(sign, nd, lay) for sign, nd, lay in values if lay < 20 and nd <= lay - 3 or lay == 19}
+    assert by_repr == dead and len(dead) == 274
+    assert all(values[key] == int(values[key]) or abs(values[key]) >= 1e15 for key in dead)
 
 
 def test_empty_and_strided_input():

@@ -83,6 +83,10 @@ def test_config_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="eps_shift must be nonnegative and finite"):
             ExperimentConfig(s=1.0, alpha=0.1, eps_shift=bad)
+    # empty radii would construct and then fail inside run_experiment
+    for name in ("r_profile", "r_coverage"):
+        with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+            ExperimentConfig(**{"s": 1.0, "alpha": 0.2, name: ()})
 
 
 # ---- the flagship run: s = 1, alpha = 0.2
