@@ -19,10 +19,14 @@ looping.
 Surfaces are duck-typed: anything with a boundary_trace(theta,
 phi_values, v_values) -> real array method works, including test
 surfaces that genuinely couple to v.  A surface whose class sets
-couples_to_y2 = False declares that its trace ignores v; the solver then
-traces it and applies T_1 once, and reuses that iterate for the second
-step, which recomputing would reproduce bit for bit (so such a solve
-still reports 2 iterations and a final increment of 0).  A surface
+couples_to_y2 = False declares that its trace ignores v; its solve is
+then v = T_1 h, u = -T_1 v with h traced once, and solve_traces runs it
+for a block of such traces on one grid, one row per trace, with one
+transform pair per step for the whole block.  Its iterations are those
+of the Picard loop: the first gives v, and the second would recompute
+v bit for bit, so it reports 2 iterations and a final increment of 0,
+or 1 iteration when the first increment is already within tol.
+solve_bishop runs the one-row case for such a surface.  A surface
 without the attribute is taken to couple.
 
 Only work whose result is read is done.  Solves that share a grid can
@@ -48,6 +52,7 @@ from .circle import (
     BoundaryFunction,
     CircleGrid,
     hilbert_t1,
+    hilbert_t1_rows,
     holder_seminorm,
     holomorphy_defect,
 )
@@ -61,6 +66,7 @@ __all__ = [
     "AttachedDisc",
     "phi_on_grid",
     "solve_bishop",
+    "solve_traces",
     "attachment_residual",
     "cauchy_extend",
 ]
@@ -150,11 +156,11 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     v0 may be a BoundaryFunction or array to start from; default is 0.
     The problem's phi and trace are used when set.  Raises NotConverged
     when max_iter runs out or the increments grow for five consecutive
-    steps.
+    steps.  A surface that ignores y2 is solved as the one-row case of
+    solve_traces.
     """
     grid = p.grid
     theta = grid.theta
-    couples = getattr(p.surface, "couples_to_y2", True)
     phi = p.phi if p.phi is not None else phi_on_grid(p.disc, grid)
     phi_vals = phi.values
     if v0 is None:
@@ -163,22 +169,21 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
         v = np.array(getattr(v0, "values", v0), dtype=float)
         if v.shape != (grid.n,):
             raise ValueError(f"initial iterate must have {grid.n} samples")
+    if not getattr(p.surface, "couples_to_y2", True):
+        height = p.trace if p.trace is not None else p.surface.boundary_trace(theta, phi_vals, v)
+        (disc,) = solve_traces(phi, np.asarray(height, dtype=float)[None], p.tol, p.max_iter, v0=v)
+        if isinstance(disc, NotConverged):
+            raise disc
+        return disc
 
     increments = []
-    converged = False
-    iterations = 0
-    v_next = None
     for iterations in range(1, p.max_iter + 1):
-        if couples or v_next is None:
-            height = p.trace
-            if height is None:
-                height = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
-            v_next = hilbert_t1(BoundaryFunction(grid, height)).values
-        inc = 0.0 if v_next is v else float(np.max(np.abs(v_next - v)))  # v - v is 0.0
+        height = np.asarray(p.surface.boundary_trace(theta, phi_vals, v), dtype=float)
+        v_next = hilbert_t1(BoundaryFunction(grid, height)).values
+        inc = float(np.max(np.abs(v_next - v)))
         increments.append(inc)
         v = v_next
         if inc <= p.tol:
-            converged = True
             break
         if len(increments) >= 6 and all(
             increments[-5 + i] > increments[-6 + i] for i in range(5)
@@ -187,11 +192,8 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
                 "sup-norm increments grew for 5 consecutive iterations "
                 f"(latest {inc:.3e}); outside the contraction regime"
             )
-    if not converged:
-        raise NotConverged(
-            f"no convergence within {p.max_iter} iterations; "
-            f"final increment {increments[-1]:.3e} vs tol {p.tol:.1e}"
-        )
+    else:
+        raise _not_converged(p.max_iter, increments[-1], p.tol)
 
     ratios = [
         b / a for a, b in zip(increments, increments[1:]) if a > 0.0
@@ -200,10 +202,57 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     u_vals = -hilbert_t1(vb).values
     u_vals[0] = 0.0  # avoid the negative zero
     ub = BoundaryFunction._adopt(grid, u_vals)
+    return _attached(phi, ub, vb, iterations, increments[-1], max(ratios) if ratios else 0.0)
+
+
+def solve_traces(phi: BoundaryFunction, traces, tol: float, max_iter: int, v0=None) -> list:
+    """The solve of each row of an (m, n) block of heights over phi, for a surface that ignores y2.
+
+    Row i is solved as solve_bishop solves one trace, from v0 (an (n,)
+    array, default 0): v = T_1 h, u = -T_1 v.  Returns, per row, its
+    AttachedDisc, or the NotConverged that solve_bishop would raise for
+    it; a failed row leaves the others as they are.  Every row's u and v
+    are rows of one (m, n) block each, and the u share one coefficient
+    transform of their block, taken when the first of them is read.
+    """
+    grid = phi.grid
+    traces = np.asarray(traces, dtype=float)
+    if traces.ndim != 2 or traces.shape[1] != grid.n:
+        raise ValueError(f"expected rows of {grid.n} samples, got shape {traces.shape}")
+    if not np.all(np.isfinite(traces)):
+        raise ValueError("boundary samples must all be finite")
+    v = hilbert_t1_rows(traces)
+    v.flags.writeable = False
+    first = np.max(np.abs(v if v0 is None else v - v0), axis=1)  # each row's first increment
+    u = hilbert_t1_rows(v)
+    np.negative(u, out=u)
+    u[:, 0] = 0.0  # avoid the negative zero
+    out = []
+    for ub, v_row, inc in zip(BoundaryFunction._adopt_rows(grid, u), v, first.tolist()):
+        if inc <= tol:
+            iterations, residual = 1, inc
+        elif max_iter >= 2:  # the second step recomputes v bit for bit: an increment of 0
+            iterations, residual = 2, 0.0
+        else:
+            out.append(_not_converged(max_iter, inc, tol))
+            continue
+        vb = BoundaryFunction._adopt(grid, v_row)
+        out.append(_attached(phi, ub, vb, iterations, residual, 0.0))
+    return out
+
+
+def _not_converged(max_iter: int, inc: float, tol: float) -> NotConverged:
+    return NotConverged(
+        f"no convergence within {max_iter} iterations; "
+        f"final increment {inc:.3e} vs tol {tol:.1e}"
+    )
+
+
+def _attached(phi, ub, vb, iterations, residual, contraction) -> AttachedDisc:
     report = SolveReport(
         iterations=iterations,
-        residual=increments[-1],
-        contraction=max(ratios) if ratios else 0.0,
+        residual=residual,
+        contraction=contraction,
         converged=True,
         u=ub,
         v=vb,

@@ -20,9 +20,16 @@ Grids of any power-of-two size from 8 up are supported (2^22 works if
 you have the memory).  Transforms and both radial-derivative methods are
 O(n log n); poisson_radial is dense in radii times modes.
 
+The conjugate, T_1 and the cosine coefficients also come in block
+form, over the rows of an (m, n) array in one rfft/irfft along the last
+axis; each row has the bits of its own 1-D transform, and hilbert_t1
+and BoundaryFunction.coeffs are the one-row case.
+
 A BoundaryFunction computes its cosine coefficients once, on first
 read, and shares them read-only with every coefficient reader; they are
-freed with the function, never kept by the module.  Every reader walks
+freed with the function, never kept by the module.  Functions adopted
+as the rows of one block share one transform of the whole block, taken
+on the first read of any row's.  Every reader walks
 the ray to the contact point, where the sine modes vanish, so no sine
 coefficient is kept.  Likewise the grid owns its read-only mode ramp
 k = 1..n/2 and poisson_radial's rows r^k, one per distinct radius.
@@ -40,6 +47,9 @@ __all__ = [
     "BoundaryFunction",
     "conjugate",
     "hilbert_t1",
+    "conjugate_rows",
+    "hilbert_t1_rows",
+    "cosine_coeffs",
     "poisson_radial",
     "radial_derivative",
     "holomorphy_defect",
@@ -50,6 +60,10 @@ __all__ = [
 # Quadrature nodes on each side of theta = 0 whose numerator is summed in
 # product form rather than differenced.
 _NEAR_NODES = 8
+
+# About the most samples per block of modes that spectral_identity_errors conjugates
+# in one call; blocks of 2^20 run no faster and hold about 30 MB more at n = 2^14.
+_SELFTEST_BLOCK = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -104,6 +118,19 @@ class BoundaryFunction:
         object.__setattr__(f, "values", _frozen_samples(grid, values))
         return f
 
+    @classmethod
+    def _adopt_rows(cls, grid: CircleGrid, block: np.ndarray) -> list:
+        """_adopt each row of a real (m, n) block; their coeffs come from one rfft of the block.
+
+        The first coeffs read of any row transforms the whole block, and
+        each row's function keeps its row of the result.
+        """
+        shared = [block]  # [block, its coefficients] once a row's are read
+        fs = [cls._adopt(grid, row) for row in block]
+        for i, f in enumerate(fs):
+            f.__dict__["_block"] = (shared, i)
+        return fs
+
     @property
     def is_real(self) -> bool:
         return self.values.dtype.kind != "c"
@@ -118,15 +145,19 @@ class BoundaryFunction:
         a[n/2] multiplies cos((n/2) theta) directly (no factor 2).  Every
         coefficient reader (both radial_derivative methods,
         poisson_radial) shares them, and they are freed with the function.
+        A function made by _adopt_rows takes its row of its block's rfft,
+        freed with the last function of the block.
         """
         _require_real(self, "coeffs")
-        n = self.grid.n
-        spec = np.fft.rfft(self.values)
-        a = 2.0 * spec.real / n
-        a[0] = spec[0].real / n
-        a[-1] = spec[-1].real / n
-        a.flags.writeable = False
-        return a
+        if "_block" not in self.__dict__:
+            a = cosine_coeffs(self.values)
+            a.flags.writeable = False
+            return a
+        shared, i = self.__dict__["_block"]
+        if len(shared) == 1:
+            shared.append(cosine_coeffs(shared[0]))
+            shared[1].flags.writeable = False
+        return shared[1][i]
 
 
 def _frozen_samples(grid: CircleGrid, vals: np.ndarray) -> np.ndarray:
@@ -152,24 +183,50 @@ def conjugate(f: BoundaryFunction) -> BoundaryFunction:
     cos k theta -> sin k theta, sin k theta -> -cos k theta,
     constants -> 0.
     """
-    return BoundaryFunction._adopt(f.grid, _conjugate_values(f))
-
-
-def _conjugate_values(f: BoundaryFunction) -> np.ndarray:  # fresh and writable
     _require_real(f, "conjugate")
-    spec = np.fft.rfft(f.values)
-    spec *= -1j
-    spec[0] = 0.0
-    spec[-1] = 0.0  # Nyquist: the conjugate mode samples to zero on the grid
-    return np.fft.irfft(spec, f.grid.n)
+    return BoundaryFunction._adopt(f.grid, conjugate_rows(f.values))
 
 
 def hilbert_t1(f: BoundaryFunction) -> BoundaryFunction:
     """Conjugate normalized to vanish at theta = 0: T_1 f = T f - (T f)(0)."""
-    vals = _conjugate_values(f)
-    vals -= vals[0]  # vals[0] is read as a scalar copy before the subtraction
-    vals[0] = 0.0  # exact zero at the normalization node
-    return BoundaryFunction._adopt(f.grid, vals)
+    _require_real(f, "conjugate")
+    return BoundaryFunction._adopt(f.grid, hilbert_t1_rows(f.values))
+
+
+# The block transforms below take the samples of m functions on one grid as
+# the rows of a real (m, n) array, or of one function as an (n,) array, and
+# transform along the last axis in one call.  pocketfft transforms each row
+# on its own, so a row's result has the bits of that row transformed alone.
+
+
+def conjugate_rows(values: np.ndarray) -> np.ndarray:
+    """T of each row, by one rfft and one irfft; fresh and writable."""
+    spec = np.fft.rfft(values)
+    spec *= -1j
+    spec[..., 0] = 0.0
+    spec[..., -1] = 0.0  # Nyquist: the conjugate mode samples to zero on the grid
+    return np.fft.irfft(spec, values.shape[-1])
+
+
+def hilbert_t1_rows(values: np.ndarray) -> np.ndarray:
+    """T_1 of each row, vanishing at theta = 0; fresh and writable."""
+    vals = conjugate_rows(values)
+    vals -= vals[..., :1]  # the overlapping column is read before it is written
+    vals[..., 0] = 0.0  # exact zero at the normalization node
+    return vals
+
+
+def cosine_coeffs(values: np.ndarray) -> np.ndarray:
+    """Cosine coefficients a[..., k], k = 0..n/2, of each row by one rfft; fresh and writable.
+
+    a[..., n/2] multiplies cos((n/2) theta) directly (no factor 2).
+    """
+    n = values.shape[-1]
+    spec = np.fft.rfft(values)
+    a = 2.0 * spec.real / n
+    a[..., 0] = spec[..., 0].real / n
+    a[..., -1] = spec[..., -1].real / n
+    return a
 
 
 def poisson_radial(f: BoundaryFunction, radii) -> np.ndarray:
@@ -224,11 +281,21 @@ def radial_derivative(f: BoundaryFunction, method: str = "spectral") -> float:
     n = f.grid.n
     # Half-spectrum of the even part on 2n points.  a_{n/2} carries no
     # factor 2, so the Nyquist bin enters at half weight automatically.
-    even = np.fft.irfft(np.concatenate(([0.0], n * a)), 2 * n)
+    # Built complex: irfft would convert a real array, which takes longer than the
+    # transform's own copy; the bins are the same numbers.
+    spec = np.empty(n // 2 + 1, complex)
+    spec[0] = 0.0
+    spec[1:] = n * a
+    even = np.fft.irfft(spec, 2 * n)
     th = (np.arange(n // 2) + 0.5) * (2.0 * np.pi / n)  # nodes in (0, pi)
     num = even[0] - even[1:n:2]
+    prod = np.empty(n // 2)  # a_k sin^2(k theta_m / 2) of one node at a time
     for m in range(min(_NEAR_NODES, n // 2)):
-        num[m] = 2.0 * np.sum(a * np.sin((0.5 * th[m]) * k) ** 2)
+        np.multiply(k, 0.5 * th[m], out=prod)
+        np.sin(prod, out=prod)
+        np.square(prod, out=prod)
+        prod *= a
+        num[m] = 2.0 * np.sum(prod)
     # 1 - cos theta = 2 sin^2(theta/2); each node pairs with 2pi - theta_m.
     return float(np.sum(num / np.sin(0.5 * th) ** 2) / n)
 
@@ -287,17 +354,22 @@ def spectral_identity_errors(n: int) -> list:
     rng = np.random.default_rng(0)
     checks = []
 
-    for name, mode, image in (
-        ("cos(k t) to sin(k t)", np.cos, np.sin),
-        ("sin(k t) to -cos(k t)", np.sin, lambda x: -np.cos(x)),
-    ):
-        worst = 0.0
-        for k in range(1, n // 4 + 1):
-            # k theta_j reduced exactly mod 2 pi (the error of k * theta grows with k)
-            kth = 2.0 * np.pi * ((k * j) % n) / n
-            got = conjugate(BoundaryFunction(grid, mode(kth))).values
-            worst = max(worst, float(np.max(np.abs(got - image(kth)))))
-        checks.append((f"conjugate maps {name}, k <= n/4", worst))
+    # k theta_j reduced exactly mod 2 pi (the error of k * theta grows with k) is
+    # theta[(k j) mod n], so each mode and its image are read from one table,
+    # a block of modes at a time
+    cos, sin = np.cos(grid.theta), np.sin(grid.theta)
+    pairs = (("cos(k t) to sin(k t)", cos, sin), ("sin(k t) to -cos(k t)", sin, -cos))
+    worst = [0.0 for _ in pairs]
+    rows = max(1, _SELFTEST_BLOCK // n)
+    for k in range(1, n // 4 + 1, rows):
+        ks = np.arange(k, min(k + rows, n // 4 + 1))
+        idx = np.multiply.outer(ks, j) & (n - 1)  # (k j) mod n, as n is a power of two
+        for i, (_, mode, image) in enumerate(pairs):
+            err = conjugate_rows(mode[idx])
+            err -= image[idx]
+            worst[i] = max(worst[i], float(np.max(np.abs(err, out=err))))
+    for (name, _, _), w in zip(pairs, worst):
+        checks.append((f"conjugate maps {name}, k <= n/4", w))
 
     zeros = conjugate(BoundaryFunction(grid, np.ones(n))).values
     checks.append(("conjugate annihilates constants", float(np.max(np.abs(zeros)))))

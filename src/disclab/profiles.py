@@ -17,8 +17,9 @@ Bishop solver trace them once per solve.
 Only the plateau depends on eta.  A bump's trace is therefore split
 into its eta-free part, trace_parts() = (blend weight, base profile
 values), and the affine combine() with the plateau; boundary_trace is
-combine(trace_parts), so the formula lives in one place, and a sweep
-over eta computes the parts once and combines them per eta; nothing is
+combine(trace_parts), so the formula lives in one place (combine_rows,
+which takes several plateaus at once), and a sweep over eta computes
+the parts once and combines them for all its etas in one block; nothing is
 kept here (the grid owns its angles, mode ramp and ray rows).  The fold
 x = (theta + pi) mod 2 pi is x - 2 pi where x >= 2 pi when every theta
 lies in [0, 2 pi): then x <= 3 pi, so by Sterbenz's lemma the difference
@@ -193,7 +194,14 @@ class BumpDeformation:
 
     def combine(self, weight, base_vals):
         """The height at this eta from trace_parts' weight and base values."""
-        return (1.0 - weight) * base_vals + weight * self.plateau()
+        return self.combine_rows(weight, base_vals, self.plateau())
+
+    @staticmethod
+    def combine_rows(weight, base_vals, plateaus):
+        """The heights (1 - w) base + w plateau, one row per plateau (one height for a bare one)."""
+        rows = np.multiply.outer(plateaus, weight)
+        rows += (1.0 - weight) * base_vals  # + is commutative in IEEE-754: the same bits
+        return rows
 
     def boundary_trace(self, theta, phi, y2):
         return self.combine(*self.trace_parts(theta, phi, y2))

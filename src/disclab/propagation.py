@@ -17,8 +17,9 @@ The sign question "does the disc point down" is answered by the primary
 u(0) = 0, so a positive inward-normal derivative at the boundary
 contact pushes the interior below the surface along the x2 axis.
 
-The sweep takes at most two Bishop solves, at eta = 1 and eta = 0.  Its
-surface ignores y2, so a solve is v = T_1(trace), u = -T_1 v, linear in
+The sweep takes at most two Bishop solves, at eta = 1 and eta = 0, as
+the two rows of one block solve (bishop.solve_traces).  Its surface
+ignores y2, so a solve is v = T_1(trace), u = -T_1 v, linear in
 the trace, and the trace (1 - w) base + w (-eta delta / 2) is affine in
 eta.  Hence u, v, the spectral radial derivative and u along a ray are
 affine in eta, and every other cell is derived as x0 + eta (x1 - x0)
@@ -53,7 +54,8 @@ import math
 
 import numpy as np
 
-from .bishop import AttachedDisc, BishopProblem, phi_on_grid, solve_bishop
+from .bishop import AttachedDisc, BishopProblem, phi_on_grid, solve_traces
+from .bishop import solve_bishop  # noqa: F401  (perfbench/tracing.py binds this name)
 from .circle import CircleGrid, poisson_radial, radial_derivative
 from .disc_family import SQUEEZE_LIMIT, DiscFamilyParams, require_decreasing
 from .exceptions import NoAdmissibleAlpha, NotConverged
@@ -158,8 +160,9 @@ class _Sweep:
     couples to y2 breaks it and is refused.  phi, the bump's blend
     weight and base-profile values, and |phi - center|^2 are computed
     once; a solve only combines the weight and base values with its own
-    plateau.  phi and the weight serve only the solves, and the run
-    drops them before it takes the cells; the rest is freed when the
+    plateau, and the solves at eta = 1 and 0 are the rows of one block
+    solve.  phi and the weight serve only the solves, and the run drops
+    them before it takes the cells; the rest is freed when the
     experiment returns.
     """
 
@@ -176,12 +179,11 @@ class _Sweep:
         center = SQUEEZE_LIMIT - cfg.eps_shift
         self.center_dist2 = np.abs(self.phi.values - center) ** 2
 
-    def solve(self, eta: float) -> AttachedDisc:
-        surface = _surface(self.cfg, eta)
-        trace = surface.combine(self.weight, self.base_vals)
-        return solve_bishop(
-            dataclasses.replace(self.head, surface=surface, phi=self.phi, trace=trace)
-        )
+    def solve(self, etas) -> list:
+        """The solves at etas as the rows of one block: an AttachedDisc or a NotConverged each."""
+        plateaus = [_surface(self.cfg, eta).plateau() for eta in etas]
+        traces = BumpDeformation.combine_rows(self.weight, self.base_vals, plateaus)
+        return solve_traces(self.phi, traces, self.cfg.tol, self.cfg.max_iter)
 
     def values(self, disc: AttachedDisc) -> tuple:
         """(u, v, spectral radial derivative, u along the coverage radii) of one solve."""
@@ -192,7 +194,8 @@ class _Sweep:
     def cell(self, eta: float, values: tuple) -> EtaCell:
         """The cell of one solve's (u, v, radial derivative, u along the ray)."""
         u, v, rd, along_ray = values
-        counts = _classify(u, v, self.base_vals, self.center_dist2, self.cfg.tol, self.cfg.delta)
+        cfg = self.cfg
+        (counts,) = _classify(u, v, self.base_vals, self.center_dist2, cfg.tol, cfg.delta)
         return _cell(eta, len(u), counts, rd, along_ray)
 
 
@@ -210,8 +213,8 @@ def _ball_radius(center_dist2, u_sq, v_sq):
     return np.sqrt(center_dist2 + u_sq + v_sq)
 
 
-def _classify(u, v, base_vals, center_dist2, tol: float, delta: float) -> tuple:
-    """(on surface, in the ball, either) node counts for heights u and v.
+def _classify(u, v, base_vals, center_dist2, tol: float, delta: float) -> list:
+    """(on surface, in the ball, either) node counts for each row of heights u and v.
 
     The deformation vanishes outside its window, so nodes there still
     satisfy the undeformed height relation at the solver tolerance; the
@@ -222,16 +225,15 @@ def _classify(u, v, base_vals, center_dist2, tol: float, delta: float) -> tuple:
     """
     on_surface = np.abs(_residual(u, base_vals)) <= tol
     in_ball = _ball_radius(center_dist2, u**2, v**2) <= delta
-    return (
-        int(np.count_nonzero(on_surface)),
-        int(np.count_nonzero(in_ball)),
-        int(np.count_nonzero(on_surface | in_ball)),
-    )
+    return [
+        (np.count_nonzero(on), np.count_nonzero(inside), np.count_nonzero(on | inside))
+        for on, inside in zip(np.atleast_2d(on_surface), np.atleast_2d(in_ball))
+    ]
 
 
 def _cell(eta: float, n: int, counts: tuple, rd: float, along_ray) -> EtaCell:
     """A converged cell; the deepest x2 is the least u along the ray toward the contact point."""
-    on_surface, in_ball, either = counts
+    on_surface, in_ball, either = (int(c) for c in counts)
     return EtaCell(
         eta=eta,
         converged=True,
@@ -262,7 +264,8 @@ class _Settled:
 
     The off and out tests are strict, as the complement of the cell's <=
     is, and a NaN settles nothing.  The nodes left are gathered once and
-    go through _classify cell by cell, so no (cells x n) block is formed.
+    go through _classify as one (etas x nodes) block per group of etas,
+    each block of at most n elements.
     """
 
     def __init__(self, sweep: _Sweep, x0: tuple, slope: tuple, etas):
@@ -290,24 +293,32 @@ class _Settled:
             a[rest] for a in (u0, du, v0, dv, base, cd2)
         )
 
-    def cell(self, eta: float) -> EtaCell:
-        counts = _classify(
-            _derived(self.u0, self.du, eta), _derived(self.v0, self.dv, eta),
-            self.base, self.cd2, self.tol, self.delta,
-        )
-        return _cell(
-            eta,
-            self.n,
-            tuple(a + b for a, b in zip(self.counts, counts)),
-            _derived(self.rd0, self.d_rd, eta),
-            _derived(self.ray0, self.d_ray, eta),
-        )
+    def cells(self, etas) -> list:
+        """The cell of each of the derived etas."""
+        etas = np.asarray(etas, dtype=float)
+        group = max(1, self.n // max(1, len(self.u0)))  # etas per block of <= n elements
+        counts = []
+        for i in range(0, len(etas), group):
+            e = etas[i:i + group, None] if group > 1 else etas[i]  # a scalar broadcasts faster
+            counts += _classify(
+                _derived(self.u0, self.du, e), _derived(self.v0, self.dv, e),
+                self.base, self.cd2, self.tol, self.delta,
+            )
+        return [
+            _cell(
+                eta,
+                self.n,
+                tuple(a + b for a, b in zip(self.counts, c)),
+                _derived(self.rd0, self.d_rd, eta),
+                _derived(self.ray0, self.d_ray, eta),
+            )
+            for eta, c in zip(etas.tolist(), counts)
+        ]
 
 
-def _head(sweep: _Sweep) -> tuple:
+def _head(sweep: _Sweep, head: AttachedDisc) -> tuple:
     """Quadrature radial derivative, transversal profile and cell values at eta = 1."""
     cfg = sweep.cfg
-    head = sweep.solve(1.0)
     rd_quad = radial_derivative(head.u, method="quadrature")
     along_ray = poisson_radial(head.u, np.asarray(cfg.r_profile))
     transversal = tuple(
@@ -318,22 +329,24 @@ def _head(sweep: _Sweep) -> tuple:
 
 def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
     sweep = _Sweep(cfg)
-    rd_quad, transversal, x1 = _head(sweep)
+    # eta = 1 and, when another cell needs it, eta = 0, solved as one block
+    head, *flat = sweep.solve((1.0, 0.0) if any(eta != 1.0 for eta in cfg.eta_grid) else (1.0,))
+    if isinstance(head, NotConverged):
+        raise head
+    rd_quad, transversal, x1 = _head(sweep, head)
     rd_spec = x1[2]
     head_cell = sweep.cell(1.0, x1) if 1.0 in cfg.eta_grid else None
 
     x0 = slope = None  # values at eta = 0 and x1 - x0; None when unneeded or unconverged
-    if any(eta != 1.0 for eta in cfg.eta_grid):
-        try:
-            x0 = sweep.values(sweep.solve(0.0))
-        except NotConverged:
-            pass
-        else:
-            slope = tuple(b - a for a, b in zip(x0, x1))
+    if flat and not isinstance(flat[0], NotConverged):
+        x0 = sweep.values(flat[0])
+        slope = tuple(b - a for a, b in zip(x0, x1))
     # the cells read neither the head's arrays nor what only the solves need
-    del x1, sweep.phi, sweep.weight
-    derived = [eta for eta in cfg.eta_grid if eta != 0.0 and eta != 1.0]
-    settled = _Settled(sweep, x0, slope, derived) if x0 is not None and derived else None
+    del head, flat, x1, sweep.phi, sweep.weight
+    derived = list(dict.fromkeys(eta for eta in cfg.eta_grid if eta != 0.0 and eta != 1.0))
+    settled = {}
+    if x0 is not None and derived:
+        settled = dict(zip(derived, _Settled(sweep, x0, slope, derived).cells(derived)))
     cells = []
     for eta in cfg.eta_grid:
         if eta == 1.0:
@@ -353,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig) -> PropagationReport:
         elif eta == 0.0:
             cells.append(sweep.cell(eta, x0))
         else:
-            cells.append(settled.cell(eta))
+            cells.append(settled[eta])
     depths = [c.min_x2 for c in cells if c.converged]
     if not depths:
         raise NotConverged("no eta cell converged; experiment has no coverage data")

@@ -23,6 +23,7 @@ from disclab import (
     phi_on_grid,
     poisson_radial,
     solve_bishop,
+    solve_traces,
 )
 from conftest import CoupledSurface
 
@@ -320,3 +321,76 @@ def test_cauchy_rejects_exterior_tau(undeformed_disc):
         cauchy_extend(undeformed_disc, lambda z1, z2: z2, 1.0)
     with pytest.raises(ValueError):
         cauchy_extend(undeformed_disc, lambda z1, z2: z2[::2], 0.5)
+
+
+# ---- block solves of surfaces that ignore y2
+
+
+class _AsCoupled:
+    """A y2-free surface presented as coupling, so solve_bishop runs its Picard loop."""
+
+    def __init__(self, surface):
+        self.surface = surface
+
+    def boundary_trace(self, theta, phi, y2):
+        return self.surface.boundary_trace(theta, phi, y2)
+
+
+def _same_solve(got, want):
+    assert got.u.values.tobytes() == want.u.values.tobytes()
+    assert got.v.values.tobytes() == want.v.values.tobytes()
+    assert (got.report.iterations, got.report.residual, got.report.contraction) == (
+        want.report.iterations, want.report.residual, want.report.contraction
+    )
+    assert got.report.converged and want.report.converged
+
+
+@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 14, 1 << 16])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_rows_are_the_one_row_solves_bit_for_bit(m, n):
+    grid = CircleGrid(n=n)
+    disc = DiscFamilyParams(alpha=0.1)
+    phi = phi_on_grid(disc, grid)
+    surfaces = [FlatProfile(kind=KIND_IM, s=s) for s in (1.0, 2.0, 0.75)[:m]]
+    traces = np.stack([sf.boundary_trace(grid.theta, phi.values, None) for sf in surfaces])
+    rows = solve_traces(phi, traces, tol=1e-12, max_iter=64)
+    assert len(rows) == m
+    for row, surface in zip(rows, surfaces):
+        assert row.phi is phi
+        # the one-row case, and the Picard loop that the shortcut stands for
+        _same_solve(row, solve_bishop(make_problem(grid, surface)))
+        _same_solve(row, solve_bishop(make_problem(grid, _AsCoupled(surface))))
+
+
+def test_a_row_that_fails_leaves_the_rows_that_converge():
+    grid = CircleGrid(n=1 << 10)
+    disc = DiscFamilyParams(alpha=0.1)
+    phi = phi_on_grid(disc, grid)
+    flat = FlatProfile(kind=KIND_IM, s=1.0)
+    height = flat.boundary_trace(grid.theta, phi.values, None)
+    # the zero trace converges in one step; the profile needs a second
+    rows = solve_traces(phi, np.stack([height, np.zeros(grid.n)]), tol=1e-12, max_iter=1)
+    failed, converged = rows
+    with pytest.raises(NotConverged) as want:
+        solve_bishop(make_problem(grid, flat, max_iter=1))
+    assert isinstance(failed, NotConverged)
+    assert str(failed) == str(want.value)
+    assert (converged.report.iterations, converged.report.residual) == (1, 0.0)
+    assert not np.any(converged.u.values) and not np.any(converged.v.values)
+    # the same block with room for a second step converges in both rows
+    rows = solve_traces(phi, np.stack([height, np.zeros(grid.n)]), tol=1e-12, max_iter=2)
+    _same_solve(rows[0], solve_bishop(make_problem(grid, flat, max_iter=2)))
+    assert rows[1].report.iterations == 1
+
+
+def test_a_block_solve_refuses_malformed_traces():
+    grid = CircleGrid(n=64)
+    phi = phi_on_grid(DiscFamilyParams(alpha=0.1), grid)
+    with pytest.raises(ValueError, match="rows of 64 samples"):
+        solve_traces(phi, np.zeros(64), tol=1e-12, max_iter=64)
+    with pytest.raises(ValueError, match="rows of 64 samples"):
+        solve_traces(phi, np.zeros((2, 32)), tol=1e-12, max_iter=64)
+    bad = np.zeros((2, 64))
+    bad[1, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_traces(phi, bad, tol=1e-12, max_iter=64)

@@ -9,7 +9,10 @@ from disclab import (
     BoundaryFunction,
     CircleGrid,
     conjugate,
+    conjugate_rows,
+    cosine_coeffs,
     hilbert_t1,
+    hilbert_t1_rows,
     holder_seminorm,
     holomorphy_defect,
     poisson_radial,
@@ -19,6 +22,31 @@ from conftest import midpoint_radial_derivative, poisson_radial_per_call
 
 
 # ---- grid and boundary containers
+
+
+@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 14, 1 << 16])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_rows_have_the_bits_of_the_one_row_transforms(m, n):
+    # pocketfft transforms each row of a block on its own; the block solve
+    # and the shared coefficients rest on that, so compare bytes with the
+    # one-function forms and with the 1-D formulas written out
+    rng = np.random.default_rng(m * n)
+    block = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-20.0, 5.0, size=(m, 1))
+    got_t, got_t1, got_a = conjugate_rows(block), hilbert_t1_rows(block), cosine_coeffs(block)
+    grid = CircleGrid(n=n)
+    for i, row in enumerate(block):
+        spec = np.fft.rfft(row)
+        a = 2.0 * spec.real / n
+        a[0], a[-1] = spec[0].real / n, spec[-1].real / n
+        spec *= -1j
+        spec[0] = spec[-1] = 0.0
+        t = np.fft.irfft(spec, n)
+        t1 = t - t[0]
+        t1[0] = 0.0
+        f = BoundaryFunction(grid, row)
+        assert got_t[i].tobytes() == conjugate(f).values.tobytes() == t.tobytes()
+        assert got_t1[i].tobytes() == hilbert_t1(f).values.tobytes() == t1.tobytes()
+        assert got_a[i].tobytes() == f.coeffs.tobytes() == a.tobytes()
 
 
 def test_grid_rejects_non_power_of_two():

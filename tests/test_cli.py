@@ -39,7 +39,6 @@ from disclab import (
     NotConverged,
     _floattext,
     asymptotics,
-    bishop,
     cli,
     propagation,
 )
@@ -1002,13 +1001,14 @@ def _jsonable_of_a_copy(x):
 def test_propagate_json_is_the_text_of_the_report_walked_by_asdict(
     fail_flat_solve, monkeypatch, capsys
 ):
-    def failing_at_zero(problem):
-        if problem.surface.eta == 0.0:
-            raise NotConverged("refused for the test")
-        return bishop.solve_bishop(problem)
+    def failing_at_zero(sweep, etas):
+        discs = solve(sweep, etas)
+        return [NotConverged("refused for the test") if eta == 0.0 else d
+                for eta, d in zip(etas, discs)]
 
+    solve = propagation._Sweep.solve
     if fail_flat_solve:
-        monkeypatch.setattr(propagation, "solve_bishop", failing_at_zero)
+        monkeypatch.setattr(propagation._Sweep, "solve", failing_at_zero)
     reports = []
     run = propagation.run_experiment
     monkeypatch.setattr(cli, "run_experiment", lambda cfg: reports.append(run(cfg)) or reports[-1])

@@ -44,6 +44,15 @@ def test_tracer_binds_every_attribute_traces_a_call_and_restores(tmp_path, monke
         assert cli.dispatch(argv) == 0
     m = tracer.call_metrics(1, 0)
     assert m["propagation.eta_cells"] == 3
-    assert m["bishop.solve_bishop.calls"] == 2  # eta = 1 and 0; eta = 0.5 is derived
     assert m["disc_family.phi_boundary.calls"] > 0
     assert m["profiles.boundary_trace.calls"] > 0
+
+    # propagate solves through the block solve, which the tracer does not bind;
+    # attach goes through solve_bishop
+    argv = ["attach", "--s", "1", "--delta", "0.2", "--n", "1024", "--alpha", "0.2",
+            "--eta", "1.0", "--out", str(tmp_path / "attach.csv")]
+    with tracer.installed(2):
+        assert cli.dispatch(argv) == 0
+    m = tracer.call_metrics(2, 0)
+    assert m["bishop.solve_bishop.calls"] == 1
+    assert m["bishop.picard_iterations"] == 2

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 import types
 import weakref
 
@@ -211,26 +212,34 @@ def test_derived_cells_match_a_solve_per_eta(s, alpha):
 
 @pytest.mark.parametrize("etas, solves", [((1.0,), 1), ((-1.0, 0.0, 1.0), 2), ((-0.5, 0.5), 2)])
 def test_a_sweep_takes_at_most_two_solves(monkeypatch, etas, solves):
-    solved_etas = []
+    blocks = []
 
-    def recording_solve(problem):
-        solved_etas.append(problem.surface.eta)
-        return bishop.solve_bishop(problem)
+    def recording_solve(sweep, block_etas):
+        blocks.append(tuple(block_etas))
+        return solve(sweep, block_etas)
 
-    monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    solve = propagation._Sweep.solve
+    monkeypatch.setattr(propagation._Sweep, "solve", recording_solve)
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096, eta_grid=etas))
-    assert solved_etas == [1.0, 0.0][:solves]
+    assert blocks == [(1.0, 0.0)[:solves]]  # both solves in one block
     assert [c.eta for c in report.eta_classifications] == list(etas)
     assert all(c.converged for c in report.eta_classifications)
 
 
-def test_a_failed_flat_solve_leaves_only_the_head_cell(monkeypatch):
-    def failing_at_zero(problem):
-        if problem.surface.eta == 0.0:
-            raise NotConverged("refused for the test")
-        return bishop.solve_bishop(problem)
+def _failing_at_zero(monkeypatch):
+    """Make the sweep's solve at eta = 0 fail, as a row of the block fails."""
+    solve = propagation._Sweep.solve
 
-    monkeypatch.setattr(propagation, "solve_bishop", failing_at_zero)
+    def failing_at_zero(sweep, etas):
+        discs = solve(sweep, etas)
+        return [NotConverged("refused for the test") if eta == 0.0 else d
+                for eta, d in zip(etas, discs)]
+
+    monkeypatch.setattr(propagation._Sweep, "solve", failing_at_zero)
+
+
+def test_a_failed_flat_solve_leaves_only_the_head_cell(monkeypatch):
+    _failing_at_zero(monkeypatch)
     cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096, eta_grid=(-1.0, 0.0, 0.5, 1.0))
     report = run_experiment(cfg)
     *lost, head = report.eta_classifications
@@ -259,8 +268,7 @@ def _per_cell_reference(cfg):
     derived cell forms u and v of all nodes and classifies them.
     """
     sweep = propagation._Sweep(cfg)
-    x1 = sweep.values(sweep.solve(1.0))
-    x0 = sweep.values(sweep.solve(0.0))
+    x1, x0 = (sweep.values(disc) for disc in sweep.solve((1.0, 0.0)))
     slope = tuple(b - a for a, b in zip(x0, x1))
 
     def cell(eta, values):
@@ -309,20 +317,20 @@ REFERENCE_GRIDS = {
 @pytest.mark.parametrize("alpha", [0.1, 0.2])
 @pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 2.0])
 def test_settled_cells_equal_the_per_cell_formula(monkeypatch, s, alpha, n, tol):
-    solves = {}  # the two solves do not depend on the grid; take each once
+    solves = {}  # the two solves do not depend on the grid; take the block once
 
-    def cached_solve(problem):
-        eta = problem.surface.eta
-        if eta not in solves:
-            solves[eta] = bishop.solve_bishop(problem)
-        return solves[eta]
+    def cached_solve(sweep, etas):
+        if tuple(etas) not in solves:
+            solves[tuple(etas)] = solve(sweep, etas)
+        return solves[tuple(etas)]
 
-    monkeypatch.setattr(propagation, "solve_bishop", cached_solve)
+    solve = propagation._Sweep.solve
+    monkeypatch.setattr(propagation._Sweep, "solve", cached_solve)
     for name, grid in REFERENCE_GRIDS.items():
         cfg = ExperimentConfig(s=s, alpha=alpha, n=n, tol=tol, eta_grid=grid)
         got = [_bits(c) for c in run_experiment(cfg).eta_classifications]
         assert got == [_bits(c) for c in _per_cell_reference(cfg)], name
-    assert sorted(solves) == [0.0, 1.0]
+    assert list(solves) == [(1.0, 0.0)]
 
 
 def _boundary_nodes(tol, delta, etas):
@@ -385,9 +393,10 @@ def test_settling_is_exact_at_tol_and_delta():
     u0, du, v0, dv, base_vals, cd2 = nodes
     settled = _settle(*nodes, tol, delta, etas)
     bad = []
-    for eta in etas:
-        counts = propagation._classify(u0 + eta * du, v0 + eta * dv, base_vals, cd2, tol, delta)
-        cell = settled.cell(eta)
+    for eta, cell in zip(etas, settled.cells(etas)):
+        (counts,) = propagation._classify(
+            u0 + eta * du, v0 + eta * dv, base_vals, cd2, tol, delta
+        )
         if (cell.on_surface, cell.in_ball, len(u0) - cell.neither) != counts:
             bad.append(eta)
     assert bad == []
@@ -467,11 +476,10 @@ def test_settled_cells_equal_the_per_cell_formula_near_tol_and_delta(etas, sign,
     v0, dv = np.concatenate([np.zeros(k), v0_b]), np.concatenate([np.zeros(k), dv_b])
     base_vals = np.concatenate([base_s, base_b])
     settled = _settle(u0, du, v0, dv, base_vals, cd2, tol, delta, etas)
-    for eta in etas:
+    for eta, cell in zip(etas, settled.cells(etas)):
         u, v = u0 + eta * du, v0 + eta * dv
         on_surface = np.abs(u - base_vals) <= tol
         in_ball = np.sqrt(cd2 + u**2 + v**2) <= delta
-        cell = settled.cell(eta)
         assert (cell.on_surface, cell.in_ball, cell.neither) == (
             int(np.count_nonzero(on_surface)),
             int(np.count_nonzero(in_ball)),
@@ -480,21 +488,43 @@ def test_settled_cells_equal_the_per_cell_formula_near_tol_and_delta(etas, sign,
 
 
 def test_few_nodes_reach_the_per_cell_formula_for_a_derived_cell(monkeypatch):
-    sizes = []
+    shapes = []
 
     def counted(u, *args):
-        sizes.append(len(u))
+        shapes.append(u.shape)
         return classify(u, *args)
 
     classify = propagation._classify
     monkeypatch.setattr(propagation, "_classify", counted)
     cfg = ExperimentConfig(s=1.0, alpha=0.2)
     run_experiment(cfg)
-    # the solves at eta = 1 and 0 classify every node; each of the 19
-    # derived cells only the nodes that the bounds leave undecided
-    assert len(sizes) == 21
-    assert sorted(sizes)[-2:] == [cfg.n, cfg.n]
-    assert max(sorted(sizes)[:-2]) < cfg.n / 100
+    # the solves at eta = 1 and 0 classify every node; the 19 derived cells,
+    # one block of rows, only the nodes that the bounds leave undecided
+    assert [shape for shape in shapes if len(shape) == 1] == [(cfg.n,), (cfg.n,)]
+    ((rows, nodes),) = [shape for shape in shapes if len(shape) == 2]
+    assert rows == 19
+    assert nodes < cfg.n / 100
+
+
+def test_derived_cell_blocks_stay_within_n_elements():
+    # at s = 0.5 about half of the nodes stay undecided, so the 19 derived
+    # etas go through _classify in groups whose blocks hold at most n values
+    cfg = ExperimentConfig(s=0.5, alpha=0.2)
+    sweep = propagation._Sweep(cfg)
+    x1, x0 = (sweep.values(disc) for disc in sweep.solve((1.0, 0.0)))
+    slope = tuple(b - a for a, b in zip(x0, x1))
+    derived = [eta for eta in cfg.eta_grid if eta not in (0.0, 1.0)]
+    settled = propagation._Settled(sweep, x0, slope, derived)
+    assert len(settled.u0) > cfg.n / 4
+    tracemalloc.start()
+    try:
+        settled.cells(derived)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few float temporaries of at most n values each; the 19 etas as one
+    # block would take about 60
+    assert peak <= 6 * 8 * cfg.n
 
 
 # ---- search over alpha
@@ -552,11 +582,12 @@ def test_diagnostics_are_computed_only_when_read(monkeypatch):
 
     discs = []
 
-    def recording_solve(problem):
-        discs.append(bishop.solve_bishop(problem))
-        return discs[-1]
+    def recording_solve(sweep, etas):
+        discs.extend(solve(sweep, etas))
+        return discs[-len(etas):]
 
-    monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    solve = propagation._Sweep.solve
+    monkeypatch.setattr(propagation._Sweep, "solve", recording_solve)
     monkeypatch.setattr(bishop, "holder_seminorm", refuse)
     monkeypatch.setattr(bishop, "holomorphy_defect", refuse)
     report = run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=4096))
@@ -635,21 +666,24 @@ def test_one_transform_per_function_and_one_power_row_per_radius(monkeypatch):
     monkeypatch.setattr(circle, "np", proxy)
     discs = []
 
-    def recording_solve(problem):
-        discs.append(bishop.solve_bishop(problem))
-        return discs[-1]
+    def recording_solve(sweep, etas):
+        discs.extend(solve(sweep, etas))
+        return discs[-len(etas):]
 
-    monkeypatch.setattr(propagation, "solve_bishop", recording_solve)
+    solve = propagation._Sweep.solve
+    monkeypatch.setattr(propagation._Sweep, "solve", recording_solve)
     monkeypatch.setattr(propagation, "poisson_radial", recording_ray)
     cfg = ExperimentConfig(s=1.0, alpha=0.2, n=4096)
     run_experiment(cfg)
     assert len(discs) == 2
-    # two T_1 per solve, one coefficient rfft per u, one irfft for the quadrature
-    assert len(transformed) == 2 * 4 + 2 + 1 == 11
+    # the two solves are one block: one T_1 of the traces, one of v, one
+    # coefficient rfft of both u, and one irfft for the quadrature
+    assert len(transformed) == 2 * 2 + 1 + 1 == 6
     inputs = [a for kind, a in transformed if kind == "rfft"]
     assert len({id(a) for a in inputs}) == len(inputs)
     for disc in discs:
-        assert sum(a is disc.u.values for a in inputs) == 1
+        rows = [np.atleast_2d(a) for a in inputs]
+        assert sum(any(np.array_equal(r, disc.u.values) for r in a) for a in rows) == 1
     # the profile and coverage rays of the head solve, the coverage ray at eta = 0
     assert rays == [cfg.r_profile, cfg.r_coverage, cfg.r_coverage]
     # one power row per distinct radius of the run: 6, where the rays ask for 14
