@@ -15,14 +15,21 @@ from hypothesis import strategies as st
 
 from disclab import (
     BishopProblem,
+    BumpDeformation,
+    CircleGrid,
+    DiscFamilyParams,
     ExperimentConfig,
+    FlatProfile,
+    KIND_IM,
     NoAdmissibleAlpha,
     NotConverged,
     alpha_search,
+    radial_derivative,
     run_experiment,
+    solve_bishop,
 )
 from disclab import bishop, circle, profiles, propagation
-from conftest import poisson_radial_per_call
+from conftest import CoupledSurface, poisson_radial_per_call
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +168,37 @@ def test_points_up_below_the_threshold():
     )
     assert rep.points_down is False
     assert rep.radial_derivative == pytest.approx(-6.394569, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        BumpDeformation(base=FlatProfile(kind=KIND_IM, s=1.0), delta=0.2, alpha=0.2),
+        CoupledSurface(),
+    ],
+    ids=["bump", "coupled"],
+)
+def test_eps_shift_changes_no_solve(surface):
+    # every surface reads Im phi and y2 only, so a translation along x1 moves nothing
+    grid = CircleGrid(n=1 << 12)
+    discs = [
+        solve_bishop(BishopProblem(grid=grid, disc=DiscFamilyParams(0.2, shift), surface=surface))
+        for shift in (0.0, 0.1)
+    ]
+    for f in ("u", "v"):
+        assert getattr(discs[0], f).values.tobytes() == getattr(discs[1], f).values.tobytes()
+    assert repr(radial_derivative(discs[0].u)) == repr(radial_derivative(discs[1].u))
+
+
+def test_eps_shift_changes_no_report():
+    reports = [
+        run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=1 << 12, eps_shift=shift))
+        for shift in (0.0, 0.1)
+    ]
+    # repr is exact for floats, so equal texts are equal bits, NaN cells included
+    for f in ("radial_derivative", "radial_derivative_spectral", "transversal_profile",
+              "eta_classifications", "coverage_min_x2"):
+        assert repr(getattr(reports[0], f)) == repr(getattr(reports[1], f)), f
 
 
 def test_quadrature_matches_spectral_on_a_large_grid():
