@@ -51,7 +51,6 @@ from .disc_family import (
     concentration_bound_check,
     inv_abs_im_phi_logtheta,
     phi_boundary,
-    require_concentration_delta,
 )
 from .exceptions import DiscLabError
 from .profiles import KIND_IM, BumpDeformation, FlatProfile, flatness_order_check
@@ -230,13 +229,10 @@ def _run_selftest(cfg, out_path, fmt) -> int:
 
 
 def _run_disc(cfg, out_path, fmt) -> int:
-    params = DiscFamilyParams(alpha=cfg["alpha"], eps_shift=cfg["eps_shift"])
-    require_concentration_delta(cfg["delta"])  # refused even where the check is skipped
+    params = DiscFamilyParams(alpha=cfg["alpha"])
+    concentrated = concentration_bound_check(params, cfg["delta"])
     grid = CircleGrid(n=cfg["n"])
     phi = phi_boundary(params, grid.theta)
-    concentrated = None
-    if cfg["eps_shift"] == 0.0:
-        concentrated = concentration_bound_check(params, cfg["delta"])
     columns = (grid.theta, phi.real, phi.imag)
     header = ("theta", "re_phi", "im_phi")
     _write_as(
@@ -251,13 +247,10 @@ def _run_disc(cfg, out_path, fmt) -> int:
         },
     )
     if fmt == "csv":
-        if concentrated is None:
-            _note("concentration check skipped: needs eps_shift = 0")
-        else:
-            _note(
-                f"boundary concentrates within delta={_fmt(cfg['delta'])} "
-                f"of the squeeze limit: {_fmt(concentrated)}"
-            )
+        _note(
+            f"boundary concentrates within delta={_fmt(cfg['delta'])} "
+            f"of the squeeze limit: {_fmt(concentrated)}"
+        )
     return 0
 
 
@@ -363,7 +356,7 @@ def _fa_scan_table(result) -> list:
 
 
 def _run_attach(cfg, out_path, fmt) -> int:
-    params = DiscFamilyParams(alpha=cfg["alpha"], eps_shift=cfg["eps_shift"])
+    params = DiscFamilyParams(alpha=cfg["alpha"])
     base = FlatProfile(kind=KIND_IM, s=cfg["s"])
     bump = {key: cfg[key] for key in ("delta", "eps_window", "eta") if cfg[key] is not None}
     wants_bump = bool(bump)
@@ -503,7 +496,6 @@ def _dataclass_param(cls, name: str) -> _Param:
 _S = _Param("s", float, 1.0)
 _S_LIST = _Param("s", _floats, (1.0,), "comma-separated list")
 _ALPHA = _Param("alpha", float, 0.1)
-_EPS_SHIFT = _dataclass_param(DiscFamilyParams, "eps_shift")
 _TABLE = ("csv", "json", "table")
 
 _SUBCOMMANDS = {
@@ -514,7 +506,7 @@ _SUBCOMMANDS = {
         "squeezed-disc boundary table",
         _run_disc,
         ("csv", "json"),
-        (_ALPHA, _EPS_SHIFT, _dataclass_param(ExperimentConfig, "delta"), _Param("n", int, 4096)),
+        (_ALPHA, _dataclass_param(ExperimentConfig, "delta"), _Param("n", int, 4096)),
     ),
     "flatness": _Subcommand(
         "vanishing-order ratio tables", _run_flatness, _TABLE, (_S_LIST, _ALPHA)
@@ -536,7 +528,6 @@ _SUBCOMMANDS = {
         (
             _S,
             _ALPHA,
-            _EPS_SHIFT,
             _Param("delta", float, None, "bump size; implies a deformed surface"),
             _Param("eps_window", float, None, "bump window exponent"),
             _Param("eta", float, None, "bump strength in [-1, 1]"),
@@ -555,7 +546,6 @@ _SUBCOMMANDS = {
             _Param("alphas", _floats, None, "search grid, decreasing"),
             _dataclass_param(ExperimentConfig, "delta"),
             _Param("eps_window", float),
-            _dataclass_param(ExperimentConfig, "eps_shift"),
             _Param("etas", _floats),
             _dataclass_param(ExperimentConfig, "n"),
             _dataclass_param(ExperimentConfig, "tol"),

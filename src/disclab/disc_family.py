@@ -11,9 +11,6 @@ imaginary part on the boundary vanishes to infinite order at tau = 1.
 The module evaluates the family on the boundary circle only, which is
 all that the Bishop solver and the asymptotic scans read.
 
-An optional real translation eps_shift >= 0, finite, moves the whole
-family left: phi -> phi - eps_shift.
-
 Boundary evaluation never forms 1 - e^{i theta} directly.  With
 w = (1 - e^{i theta})/2 one has |w| = sin(theta/2) and
 arg w = theta/2 - pi/2 for theta in (0, 2pi), so
@@ -22,7 +19,7 @@ arg w = theta/2 - pi/2 for theta in (0, 2pi), so
 
 and with A = log(1/4) + alpha A', B = alpha psi,
 
-    phi = (-A + iB) / (A^2 + B^2) - eps_shift.
+    phi = (-A + iB) / (A^2 + B^2).
 
 This form is stable down to theta values where sin(theta/2) underflows;
 _logtheta_parts pushes it further by working from t = -log theta
@@ -63,20 +60,12 @@ def require_decreasing(alphas) -> None:
         raise ValueError(f"alpha values must be strictly decreasing, got {alphas}")
 
 
-def require_concentration_delta(delta) -> None:
-    if not (0.0 < delta < SQUEEZE_LIMIT):
-        raise ValueError(f"delta must lie in (0, 1/log 4), got {delta}")
-
-
 @dataclasses.dataclass(frozen=True)
 class DiscFamilyParams:
     alpha: float  # squeeze parameter in (0, 1]
-    eps_shift: float = 0.0  # real translation of the first component, >= 0 and finite
 
     def __post_init__(self) -> None:
         require_alpha(self.alpha)
-        if not (0.0 <= self.eps_shift < math.inf):
-            raise ValueError(f"eps_shift must be nonnegative and finite, got {self.eps_shift}")
 
 
 def _boundary_parts(alpha: float, theta: np.ndarray):
@@ -97,7 +86,7 @@ def _boundary_parts(alpha: float, theta: np.ndarray):
 
 
 def phi_boundary(params: DiscFamilyParams, theta) -> np.ndarray:
-    """phi_alpha(e^{i theta}) - eps_shift, vectorized over angles."""
+    """phi_alpha(e^{i theta}), vectorized over angles."""
     th = np.asarray(theta, dtype=float)
     a, b, at_one = _boundary_parts(params.alpha, np.atleast_1d(th).ravel())
     denom = a * a
@@ -108,7 +97,6 @@ def phi_boundary(params: DiscFamilyParams, theta) -> np.ndarray:
         b /= denom
     a[at_one] = 0.0
     b[at_one] = 0.0
-    a -= params.eps_shift
     out = np.empty(a.shape, dtype=complex)
     out.real, out.imag = a, b
     return complex(out[0]) if th.ndim == 0 else out.reshape(th.shape)
@@ -173,8 +161,6 @@ def im_phi_expansion_check(params: DiscFamilyParams, theta: float):
 
     Returns (exact, expansion, rel_err).
     """
-    if params.eps_shift != 0.0:
-        raise ValueError("expansion check requires eps_shift = 0")
     if not (0.0 < theta < 0.5 * math.pi):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta}")
     alpha = params.alpha
@@ -199,9 +185,8 @@ def concentration_bound_check(params: DiscFamilyParams, delta: float) -> bool:
     The samples go through _logtheta_parts, so an arc start e^{-delta/alpha}
     that underflows needs no theta.
     """
-    if params.eps_shift != 0.0:
-        raise ValueError("concentration check requires eps_shift = 0")
-    require_concentration_delta(delta)
+    if not (0.0 < delta < SQUEEZE_LIMIT):
+        raise ValueError(f"delta must lie in (0, 1/log 4), got {delta}")
     alpha = params.alpha
     a, b = _logtheta_parts(alpha, np.linspace(-math.log(math.pi), delta / alpha, 100000))
     # phi = -(A + i|B|)/(A^2 + B^2), up to a conjugation that leaves the distance

@@ -77,7 +77,6 @@ class ExperimentConfig:
     alpha: float
     delta: float = 0.2  # ball radius and default bump window exponent
     eps_window: float | None = BumpDeformation.eps_window  # bump window exponent; None copies delta
-    eps_shift: float = DiscFamilyParams.eps_shift
     eta_grid: tuple = tuple(float(x) for x in np.linspace(-1.0, 1.0, 21))
     n: int = 1 << 14
     tol: float = BishopProblem.tol
@@ -87,7 +86,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # the disc and the bump refuse their own bad parameters
-        DiscFamilyParams(alpha=self.alpha, eps_shift=self.eps_shift)
+        DiscFamilyParams(alpha=self.alpha)
         _surface(self, 1.0)
         object.__setattr__(self, "eta_grid", tuple(float(e) for e in self.eta_grid))
         if not self.eta_grid:
@@ -144,7 +143,7 @@ def _head_problem(cfg: ExperimentConfig) -> BishopProblem:
     """The eta = 1 problem: built without an array, it refuses a bad tol or window."""
     return BishopProblem(
         grid=CircleGrid(n=cfg.n),
-        disc=DiscFamilyParams(alpha=cfg.alpha, eps_shift=cfg.eps_shift),
+        disc=DiscFamilyParams(alpha=cfg.alpha),
         surface=_surface(cfg, 1.0),
         tol=cfg.tol,
         max_iter=cfg.max_iter,
@@ -176,8 +175,7 @@ class _Sweep:
         self.weight, self.base_vals = self.head.surface.trace_parts(
             self.grid.theta, self.phi.values, None
         )
-        center = SQUEEZE_LIMIT - cfg.eps_shift
-        self.center_dist2 = np.abs(self.phi.values - center) ** 2
+        self.center_dist2 = np.abs(self.phi.values - SQUEEZE_LIMIT) ** 2
 
     def solve(self, etas) -> list:
         """The solves at etas as the rows of one block: an AttachedDisc or a NotConverged each."""

@@ -53,9 +53,6 @@ def test_params_validation():
         DiscFamilyParams(alpha=0.0)
     with pytest.raises(ValueError):
         DiscFamilyParams(alpha=1.5)
-    for bad in (-0.2, math.inf, math.nan):
-        with pytest.raises(ValueError, match="eps_shift must be nonnegative and finite"):
-            DiscFamilyParams(alpha=0.1, eps_shift=bad)
 
 
 # ---- folding the angle
@@ -84,7 +81,6 @@ def _phi_boundary_folding_every_angle(params, theta):
         b /= denom
     a[at_one] = 0.0
     b[at_one] = 0.0
-    a -= params.eps_shift
     out = np.empty(a.shape, dtype=complex)
     out.real, out.imag = a, b
     return complex(out[0]) if th.ndim == 0 else out.reshape(th.shape)
@@ -94,9 +90,9 @@ def _bits(z):
     return np.asarray(z, dtype=complex).tobytes()
 
 
-@pytest.mark.parametrize("alpha, eps_shift", [(0.05, 0.0), (0.2, 0.0), (1.0, 0.03)])
-def test_phi_boundary_is_bitwise_the_formula_folding_every_angle(alpha, eps_shift):
-    par = DiscFamilyParams(alpha=alpha, eps_shift=eps_shift)
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 1.0])
+def test_phi_boundary_is_bitwise_the_formula_folding_every_angle(alpha):
+    par = DiscFamilyParams(alpha=alpha)
     edges = np.array([2.0 * np.pi, np.pi, -np.pi, -0.0, 0.0, 4.0 * np.pi, -2.0 * np.pi, np.nan])
     for k in range(6, 19):
         theta = CircleGrid(n=1 << k).theta
@@ -153,10 +149,8 @@ def test_im_phi_is_odd():
 
 def test_real_part_stays_right_of_shift():
     g = CircleGrid(n=4096)
-    for shift in (0.0, 0.3):
-        par = DiscFamilyParams(alpha=0.1, eps_shift=shift)
-        re = np.real(phi_boundary(par, g.theta[1:]))
-        assert np.min(re) > -shift - 1e-15
+    re = np.real(phi_boundary(DiscFamilyParams(alpha=0.1), g.theta[1:]))
+    assert np.min(re) >= 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -188,8 +182,6 @@ def test_expansion_check_validates_input():
     par = DiscFamilyParams(alpha=0.1)
     with pytest.raises(ValueError):
         im_phi_expansion_check(par, 2.0)
-    with pytest.raises(ValueError):
-        im_phi_expansion_check(DiscFamilyParams(alpha=0.1, eps_shift=0.1), 1e-3)
 
 
 def test_inverse_modulus_log_parametrization_roundtrip():
@@ -352,7 +344,5 @@ def test_concentration_in_log_angles_gives_the_same_answers():
 
 
 def test_concentration_validates_input():
-    with pytest.raises(ValueError):
-        concentration_bound_check(DiscFamilyParams(alpha=0.1, eps_shift=0.1), 0.2)
     with pytest.raises(ValueError):
         concentration_bound_check(DiscFamilyParams(alpha=0.1), 0.8)

@@ -24,9 +24,7 @@ from disclab import (
     NoAdmissibleAlpha,
     NotConverged,
     alpha_search,
-    radial_derivative,
     run_experiment,
-    solve_bishop,
 )
 from disclab import bishop, circle, profiles, propagation
 from conftest import CoupledSurface, poisson_radial_per_call
@@ -82,15 +80,10 @@ def test_config_validation():
         ExperimentConfig(s=1.0, alpha=0.1, eta_grid=(0.0, 1.2))
     with pytest.raises(ValueError):
         ExperimentConfig(s=1.0, alpha=0.1, r_coverage=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        ExperimentConfig(s=1.0, alpha=0.1, eps_shift=-0.1)
     for name in ("s", "delta", "eps_window"):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                 ExperimentConfig(**{"s": 1.0, "alpha": 0.1, name: bad})
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="eps_shift must be nonnegative and finite"):
-            ExperimentConfig(s=1.0, alpha=0.1, eps_shift=bad)
     # empty radii would construct and then fail inside run_experiment
     for name in ("r_profile", "r_coverage"):
         with pytest.raises(ValueError, match=f"{name} must be nonempty"):
@@ -170,35 +163,24 @@ def test_points_up_below_the_threshold():
     assert rep.radial_derivative == pytest.approx(-6.394569, rel=1e-4)
 
 
+_BUMP = BumpDeformation(base=FlatProfile(kind=KIND_IM, s=1.0), delta=0.2, alpha=0.2)
+
+
 @pytest.mark.parametrize(
-    "surface",
-    [
-        BumpDeformation(base=FlatProfile(kind=KIND_IM, s=1.0), delta=0.2, alpha=0.2),
-        CoupledSurface(),
-    ],
-    ids=["bump", "coupled"],
+    "trace",
+    [_BUMP.boundary_trace, _BUMP.trace_parts, FlatProfile(kind=KIND_IM, s=0.75).boundary_trace,
+     CoupledSurface().boundary_trace],
+    ids=["bump", "bump-parts", "flat", "coupled"],
 )
-def test_eps_shift_changes_no_solve(surface):
-    # every surface reads Im phi and y2 only, so a translation along x1 moves nothing
+def test_no_surface_reads_re_phi(trace):
+    # the heights depend on Im phi and y2 only, so a disc moved along x1 solves
+    # the same problem: the sweep's premise that the ball centre is SQUEEZE_LIMIT
     grid = CircleGrid(n=1 << 12)
-    discs = [
-        solve_bishop(BishopProblem(grid=grid, disc=DiscFamilyParams(0.2, shift), surface=surface))
-        for shift in (0.0, 0.1)
-    ]
-    for f in ("u", "v"):
-        assert getattr(discs[0], f).values.tobytes() == getattr(discs[1], f).values.tobytes()
-    assert repr(radial_derivative(discs[0].u)) == repr(radial_derivative(discs[1].u))
-
-
-def test_eps_shift_changes_no_report():
-    reports = [
-        run_experiment(ExperimentConfig(s=1.0, alpha=0.2, n=1 << 12, eps_shift=shift))
-        for shift in (0.0, 0.1)
-    ]
-    # repr is exact for floats, so equal texts are equal bits, NaN cells included
-    for f in ("radial_derivative", "radial_derivative_spectral", "transversal_profile",
-              "eta_classifications", "coverage_min_x2"):
-        assert repr(getattr(reports[0], f)) == repr(getattr(reports[1], f)), f
+    phi = bishop.phi_on_grid(DiscFamilyParams(alpha=0.2), grid).values
+    y2 = 0.01 * np.sin(grid.theta)
+    want = np.asarray(trace(grid.theta, phi, y2)).tobytes()
+    for c in (-0.3, 0.1, 5.0):
+        assert np.asarray(trace(grid.theta, phi + c, y2)).tobytes() == want, c
 
 
 def test_quadrature_matches_spectral_on_a_large_grid():
