@@ -29,15 +29,11 @@ or 1 iteration when the first increment is already within tol.
 solve_bishop runs the one-row case for such a surface.  A surface
 without the attribute is taken to couple.
 
-Only work whose result is read is done.  Solves that share a grid can
-share phi: a problem may carry phi_on_grid(disc, grid), read-only, and,
-for a surface that ignores v, its trace over that phi; the solver
-computes whatever the problem leaves unset and memoizes nothing itself,
-so shared arrays live exactly as long as the problems holding them.
-The alpha match and the window resolution are still checked for every
-problem, in the log domain, where an underflowed window is still
-"unresolved".  The report's holomorphy defect and Hoelder seminorm are
-computed on first read.
+Only work whose result is read is done.  solve_traces takes the phi
+that its caller shares.  The alpha match and the window resolution are
+still checked for every problem, in the log domain, where an
+underflowed window is still "unresolved".  The report's holomorphy
+defect and Hoelder seminorm are computed on first read.
 """
 
 from __future__ import annotations
@@ -79,22 +75,14 @@ class BishopProblem:
     surface: object  # FlatProfile, BumpDeformation, or any boundary_trace provider
     tol: float = 1e-12  # sup-norm stopping tolerance on iteration increments
     max_iter: int = 64
-    # work a caller shares between solves; the solve computes what is left unset
-    phi: BoundaryFunction | None = dataclasses.field(default=None, repr=False)  # phi_on_grid
-    trace: np.ndarray | None = dataclasses.field(default=None, repr=False)  # height over phi
 
     def __post_init__(self) -> None:
         require_positive_finite("tol", self.tol)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        m = self.max_iter
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {m!r}")
         if not hasattr(self.surface, "boundary_trace"):
             raise ValueError("surface must provide a boundary_trace method")
-        if self.phi is not None and self.phi.grid is not self.grid:
-            raise ValueError("phi must live on the problem's grid")
-        if self.trace is not None and (
-            self.phi is None or getattr(self.surface, "couples_to_y2", True)
-        ):
-            raise ValueError("a trace is given only with phi, for a surface that ignores y2")
         if isinstance(self.surface, BumpDeformation):
             if abs(self.surface.alpha - self.disc.alpha) > 0.0:
                 raise ValueError(
@@ -154,14 +142,13 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
     """Picard iteration for v = T_1(h(phi, v)), then u = -T_1 v.
 
     v0 may be a BoundaryFunction or array to start from; default is 0.
-    The problem's phi and trace are used when set.  Raises NotConverged
-    when max_iter runs out or the increments grow for five consecutive
-    steps.  A surface that ignores y2 is solved as the one-row case of
-    solve_traces.
+    Raises NotConverged when max_iter runs out or the increments grow
+    for five consecutive steps.  A surface that ignores y2 is solved as
+    the one-row case of solve_traces.
     """
     grid = p.grid
     theta = grid.theta
-    phi = p.phi if p.phi is not None else phi_on_grid(p.disc, grid)
+    phi = phi_on_grid(p.disc, grid)
     phi_vals = phi.values
     if v0 is None:
         v = np.zeros(grid.n)
@@ -170,7 +157,7 @@ def solve_bishop(p: BishopProblem, v0=None) -> AttachedDisc:
         if v.shape != (grid.n,):
             raise ValueError(f"initial iterate must have {grid.n} samples")
     if not getattr(p.surface, "couples_to_y2", True):
-        height = p.trace if p.trace is not None else p.surface.boundary_trace(theta, phi_vals, v)
+        height = p.surface.boundary_trace(theta, phi_vals, v)
         (disc,) = solve_traces(phi, np.asarray(height, dtype=float)[None], p.tol, p.max_iter, v0=v)
         if isinstance(disc, NotConverged):
             raise disc

@@ -188,6 +188,8 @@ def concentration_bound_check(params: DiscFamilyParams, delta: float) -> bool:
     if not (0.0 < delta < SQUEEZE_LIMIT):
         raise ValueError(f"delta must lie in (0, 1/log 4), got {delta}")
     alpha = params.alpha
+    if not delta / alpha < math.inf:
+        raise ValueError(f"delta / alpha must be finite, got {delta} / {alpha}")
     a, b = _logtheta_parts(alpha, np.linspace(-math.log(math.pi), delta / alpha, 100000))
     # phi = -(A + i|B|)/(A^2 + B^2), up to a conjugation that leaves the distance
     denom = a * a + b * b

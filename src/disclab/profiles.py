@@ -16,14 +16,14 @@ Bishop solver trace them once per solve.
 
 Only the plateau depends on eta.  A bump's trace is therefore split
 into its eta-free part, trace_parts() = (blend weight, base profile
-values), and the affine combine() with the plateau; boundary_trace is
-combine(trace_parts), so the formula lives in one place (combine_rows,
-which takes several plateaus at once), and a sweep over eta computes
-the parts once and combines them for all its etas in one block; nothing is
-kept here (the grid owns its angles, mode ramp and ray rows).  The fold
-x = (theta + pi) mod 2 pi is x - 2 pi where x >= 2 pi when every theta
-lies in [0, 2 pi): then x <= 3 pi, so by Sterbenz's lemma the difference
-is exact and has np.mod's bits.  Other angles go through np.mod.
+values), and the affine combine_rows() with one or several plateaus;
+boundary_trace is combine_rows(trace_parts, plateau), so one function
+forms every height, and a sweep over eta computes the parts once and
+combines them for all its etas in one block; nothing is kept here (the
+grid owns its angles, mode ramp and ray rows).  The fold x = (theta +
+pi) mod 2 pi is x - 2 pi where x >= 2 pi when every theta lies in
+[0, 2 pi): then x <= 3 pi, so by Sterbenz's lemma the difference is
+exact and has np.mod's bits.  Other angles go through np.mod.
 
 Every parameter must be finite: an infinite s, delta or eps_window
 would otherwise pass the positivity checks and yield -inf or NaN heights.
@@ -192,10 +192,6 @@ class BumpDeformation:
         weight = _blend_weight(x if th.ndim else x[0])
         return weight, self.base.boundary_trace(theta, phi, y2)
 
-    def combine(self, weight, base_vals):
-        """The height at this eta from trace_parts' weight and base values."""
-        return self.combine_rows(weight, base_vals, self.plateau())
-
     @staticmethod
     def combine_rows(weight, base_vals, plateaus):
         """The heights (1 - w) base + w plateau, one row per plateau (one height for a bare one)."""
@@ -204,7 +200,7 @@ class BumpDeformation:
         return rows
 
     def boundary_trace(self, theta, phi, y2):
-        return self.combine(*self.trace_parts(theta, phi, y2))
+        return self.combine_rows(*self.trace_parts(theta, phi, y2), self.plateau())
 
 
 def flatness_order_check(log_g, k: int, theta_grid):

@@ -95,8 +95,9 @@ def test_solver_validates_inputs(grid14, flat_s1):
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
             make_problem(grid14, flat_s1, tol=tol)
-    with pytest.raises(ValueError):
-        make_problem(grid14, flat_s1, max_iter=0)
+    for max_iter in (0, 2.5, True):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter}"):
+            make_problem(grid14, flat_s1, max_iter=max_iter)
     with pytest.raises(ValueError):
         make_problem(grid14, object())
     p = make_problem(grid14, flat_s1)
@@ -173,38 +174,6 @@ def test_single_trace_matches_full_picard(surface):
     for field in ("iterations", "residual", "contraction", "converged"):
         assert getattr(once.report, field) == getattr(full.report, field)
     assert once.report.iterations == 2
-
-
-def test_shared_phi_and_trace_give_the_same_solve():
-    grid = CircleGrid(n=1 << 12)
-    surface = deformed_surface(eta=-0.4)
-    alone = solve_bishop(make_problem(grid, surface))
-    phi = phi_on_grid(DiscFamilyParams(alpha=0.1), grid)
-    trace = surface.boundary_trace(grid.theta, phi.values, None)
-    shared = solve_bishop(
-        BishopProblem(grid=grid, disc=DiscFamilyParams(alpha=0.1), surface=surface,
-                      phi=phi, trace=trace)
-    )
-    assert shared.phi is phi
-    assert np.array_equal(alone.phi.values, phi.values)
-    assert np.array_equal(alone.u.values, shared.u.values)
-    assert np.array_equal(alone.v.values, shared.v.values)
-    assert alone.report.iterations == shared.report.iterations == 2
-
-
-def test_shared_trace_is_refused_where_it_cannot_hold():
-    grid = CircleGrid(n=1 << 12)
-    params = DiscFamilyParams(alpha=0.1)
-    phi = phi_on_grid(params, grid)
-    trace = np.zeros(grid.n)
-    # a coupling surface is traced at every iterate: full Picard stays
-    with pytest.raises(ValueError, match="ignores y2"):
-        BishopProblem(grid=grid, disc=params, surface=CoupledSurface(), phi=phi, trace=trace)
-    with pytest.raises(ValueError, match="only with phi"):
-        BishopProblem(grid=grid, disc=params, surface=deformed_surface(), trace=trace)
-    with pytest.raises(ValueError, match="problem's grid"):
-        BishopProblem(grid=CircleGrid(n=1 << 12), disc=params, surface=deformed_surface(),
-                      phi=phi)
 
 
 def test_shared_phi_is_read_only(grid14, params01):

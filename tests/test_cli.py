@@ -519,6 +519,7 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
         (["fa-scan", "--s", "inf"], "s must be finite and exceed 1/2"),
         (["fa-scan", "--delta", "inf"], "delta must be positive and finite, got inf"),
         (["propagate", "--s", "inf"], "s must be positive and finite, got inf"),
+        (["disc", "--alpha", "1e-320"], "delta / alpha must be finite, got 0.2 / 1e-320"),
     ],
     ids=[
         "attach-window-underflow",
@@ -533,6 +534,7 @@ def test_attach_unresolved_grid_is_a_usage_problem(capsys):
         "fa-scan-s-inf",
         "fa-scan-delta-inf",
         "propagate-s-inf",
+        "disc-alpha-subnormal",
     ],
 )
 def test_unusable_window_or_nonfinite_parameter_is_a_validation_error(argv, message, capsys):
@@ -1307,6 +1309,55 @@ def test_each_public_function_is_called_from_src_or_kept_for_a_reason():
         functions = {name for name in module.__all__ if inspect.isfunction(getattr(module, name))}
         uncalled |= functions - referenced
     assert uncalled == set(_UNCALLED_PUBLIC)
+
+
+# defaulted dataclass fields that no code in src/ or perfbench/ sets, each with the reason it stays
+_UNSET_FIELDS = {
+    "FAlphaSpec.t_max_cap": "the truncation tests cut the tail with it",
+    "FAlphaSpec.rel_tol": "the depth-guard test tightens it",
+    "ExperimentConfig.r_profile": "propagate's JSON config echoes it; the golden pins it",
+    "ExperimentConfig.r_coverage": "propagate's JSON config echoes it; the golden pins it",
+}
+
+
+def test_each_defaulted_field_is_set_from_src_or_kept_for_a_reason():
+    # a field is set by a keyword of a call to its class or to dataclasses.replace; a class
+    # built from **kwargs also takes the CLI's parameter names and the string keys of cli.py
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = pathlib.Path(disclab.__file__).parent
+    calls = [
+        node
+        for path in [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    keywords = {}  # callee name -> names it is passed by keyword
+    for call in calls:
+        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+        keywords.setdefault(callee, set()).update(k.arg for k in call.keywords)
+    cli_keys = {
+        node.slice.value
+        for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+    }
+    cli_keys |= {param.name for spec in cli._SUBCOMMANDS.values() for param in spec.params}
+    unset = set()
+    for name in ("circle", "disc_family", "profiles", "bishop", "asymptotics", "propagation"):
+        module = importlib.import_module(f"disclab.{name}")
+        for cls in (getattr(module, n) for n in module.__all__):
+            if not dataclasses.is_dataclass(cls):
+                continue
+            setters = keywords.get(cls.__name__, set()) | keywords.get("replace", set())
+            if None in setters:  # a ** argument
+                setters |= cli_keys
+            unset |= {
+                f"{cls.__name__}.{field.name}"
+                for field in dataclasses.fields(cls)
+                if field.name not in setters
+                and not (field.default is dataclasses.MISSING
+                         and field.default_factory is dataclasses.MISSING)
+            }
+    assert unset == set(_UNSET_FIELDS)
 
 
 # ---- documentation

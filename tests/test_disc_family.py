@@ -346,3 +346,6 @@ def test_concentration_in_log_angles_gives_the_same_answers():
 def test_concentration_validates_input():
     with pytest.raises(ValueError):
         concentration_bound_check(DiscFamilyParams(alpha=0.1), 0.8)
+    # delta / alpha overflows: the arc start e^{-delta/alpha} has no sample grid
+    with pytest.raises(ValueError, match="delta / alpha must be finite, got 0.2 / 1e-320"):
+        concentration_bound_check(DiscFamilyParams(alpha=1e-320), 0.2)

@@ -172,7 +172,8 @@ def test_trace_parts_are_eta_free_and_combine_to_the_trace():
         d = bump(eta=eta)
         w_eta, b_eta = d.trace_parts(theta, phi, None)
         assert np.array_equal(w_eta, weight) and np.array_equal(b_eta, base_vals)
-        assert np.array_equal(d.combine(weight, base_vals), d.boundary_trace(theta, phi, None))
+        by_formula = d.plateau() * weight + (1.0 - weight) * base_vals
+        assert np.array_equal(by_formula, d.boundary_trace(theta, phi, None))
 
 
 # ---- folding the angle
